@@ -23,7 +23,14 @@ import numpy as np
 from .errors import SolverError
 from .graphs import WeightedGraph, average, sup_norm
 from .scalar import ScalarModel, apriori_radius
-from .solve import ClassifiedSolution, SolveOptions, enumerate_solutions, solve_scalar, solve_system
+from .solve import (
+    ClassifiedSolution,
+    SolveOptions,
+    _dedup_points,
+    enumerate_solutions,
+    solve_scalar,
+    solve_system,
+)
 from .system import SystemModel
 
 __all__ = [
@@ -260,7 +267,7 @@ def sigma_homotopy(
     if seeds is not None:
         tracked = []
         for s in np.atleast_2d(np.asarray(seeds, dtype=float)):
-            tracked.append(_polish(g, first, s))
+            tracked.append(_polish(g, first, s, opts))
         tracked = [t for t in tracked if t is not None]
     else:
         use_box = box
@@ -274,7 +281,7 @@ def sigma_homotopy(
         kept: list[ClassifiedSolution] = []
         events: list[str] = []
         for r in records[-1].roots:
-            sol = _polish(g, m, r.point)
+            sol = _polish(g, m, r.point, opts)
             if sol is None:
                 events.append(f"branch lost at sigma={sigma:.6g} (from {prev_sigma:.6g})")
                 continue
@@ -290,20 +297,19 @@ def sigma_homotopy(
 
 
 def _dedup_solutions(sols: list[ClassifiedSolution], tol: float) -> list[ClassifiedSolution]:
-    kept: list[ClassifiedSolution] = []
-    for s in sorted(sols, key=lambda s: s.residual_norm):
-        if all(np.abs(s.point - k.point).max() > tol for k in kept):
-            kept.append(s)
+    points = np.array([s.point for s in sols])
+    norms = np.array([s.residual_norm for s in sols])
+    kept = [sols[i] for i in _dedup_points(points, norms, tol)]
     kept.sort(key=lambda s: tuple(s.point))
     return kept
 
 
-def _polish(g, model, point) -> ClassifiedSolution | None:
+def _polish(g, model, point, opts: SolveOptions) -> ClassifiedSolution | None:
     point = np.asarray(point, dtype=float)
     try:
         if isinstance(model, SystemModel):
             half = len(point) // 2
-            return solve_system(g, model, point[:half], point[half:])
-        return solve_scalar(g, model, point)
+            return solve_system(g, model, point[:half], point[half:], opts)
+        return solve_scalar(g, model, point, opts)
     except SolverError:
         return None

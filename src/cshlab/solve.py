@@ -1,10 +1,14 @@
 """Root finding, exhaustive small-graph enumeration and Morse classification.
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
-on whole batches of seeds at once (stacked linear solves), so grid-seeded
-enumeration over tiny graphs stays fast even with 10^5..10^6 seeds.  Found
-roots are deduplicated in sup norm, classified through the eigenvalues of the
-energy Hessian in the mu-weighted inner product, and reported sorted.
+on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
+stays fast even with 10^5..10^6 seeds.  Each Newton step is one stacked linear
+solve; when a singular Jacobian makes it fail, the sign of the LU determinant
+picks out the singular rows, the rest are solved in one stacked call again and
+only the singular rows take a least-squares step.  Found roots are
+deduplicated in sup norm by an array greedy pass, classified through the
+eigenvalues of the energy Hessian in the mu-weighted inner product, and
+reported sorted.
 
 Completeness of enumeration is empirical, never certified: a grid whose
 refinement by doubling produces no new roots is declared stable, and reports
@@ -224,21 +228,33 @@ def _norms(F: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.ndarray):
-    """Stacked solve J step = -F with per-row pseudo-inverse fallback."""
+    """Stacked solve of J step = -F, with least squares for singular rows only.
+
+    Rows with a non-finite Jacobian or step get a zero step and come back
+    flagged in ``bad``.  The finite rows go to one stacked ``np.linalg.solve``.
+    If a singular row makes it raise, one batched ``slogdet`` marks the rows
+    whose LU has a zero pivot (sign 0: the same ``getrf`` factorization that
+    makes ``solve`` reject a row), the other rows are solved in one stacked
+    call and each singular row takes a ``lstsq`` step with ``pseudo`` set.
+    """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
-    finite = np.all(np.isfinite(J), axis=(-2, -1))
-    idx = np.nonzero(finite)[0]
+    idx = np.nonzero(np.all(np.isfinite(J), axis=(-2, -1)))[0]
+    if idx.size < len(J):
+        J = J[idx]
     if idx.size:
+        rhs = -F[idx][..., None]
         try:
-            steps[idx] = np.linalg.solve(J[idx], -F[idx][..., None])[..., 0]
+            steps[idx] = np.linalg.solve(J, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            for k in idx:
-                try:
-                    steps[k] = np.linalg.solve(J[k], -F[k])
-                except np.linalg.LinAlgError:
-                    steps[k] = np.linalg.lstsq(J[k], -F[k], rcond=None)[0]
-                    pseudo[k] = True
+            with np.errstate(divide="ignore"):
+                singular = np.linalg.slogdet(J)[0] == 0.0
+            regular = ~singular
+            if regular.any():
+                steps[idx[regular]] = np.linalg.solve(J[regular], rhs[regular])[..., 0]
+            for k in np.nonzero(singular)[0]:
+                steps[idx[k]] = np.linalg.lstsq(J[k], rhs[k, :, 0], rcond=None)[0]
+            pseudo[idx[singular]] = True
     bad = ~np.all(np.isfinite(steps), axis=-1)
     steps[bad] = 0.0
     return steps, bad
@@ -549,13 +565,18 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
     return np.unique(seeds, axis=0)
 
 
-def _dedup_points(points: np.ndarray, norms: np.ndarray, tol: float):
-    order = np.argsort(norms, kind="stable")
+def _dedup_points(points: np.ndarray, norms: np.ndarray, tol: float) -> list[int]:
+    """Greedy sup-norm dedup: indices of kept rows, lowest residual first.
+
+    Each pass keeps the remaining row with the lowest norm (ties in input
+    order) and drops every other remaining row within ``tol`` of it.
+    """
+    remaining = np.argsort(norms, kind="stable")
     kept: list[int] = []
-    for i in order:
-        p = points[i]
-        if all(np.abs(points[j] - p).max() > tol for j in kept):
-            kept.append(int(i))
+    while remaining.size:
+        i, remaining = remaining[0], remaining[1:]
+        kept.append(int(i))
+        remaining = remaining[np.abs(points[remaining] - points[i]).max(axis=-1) > tol]
     return kept
 
 
@@ -609,6 +630,14 @@ def enumerate_report(
     seeds_used = 0
 
     for refinement in range(opts.max_refinements + 1):
+        # the grid alone has level**n distinct seeds: check before building it
+        grid_size = int(level) ** problem.n
+        if grid_size > opts.seed_cap:
+            if refinement == 0:
+                raise SolverError(
+                    f"seed budget exceeded: {grid_size} grid seeds > cap {opts.seed_cap}"
+                )
+            break
         seeds = _seed_set(problem, lo, hi, level, opts,
                           extra + [np.array(known)] if known else extra,
                           include_box_net=(refinement == 0))

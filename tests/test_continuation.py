@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cshlab.continuation as continuation
 from cshlab import (
     ScalarModel,
     SolveOptions,
@@ -93,6 +94,24 @@ def test_sigma_homotopy_tracks_log_sigma(k2):
         assert any(np.abs(r.point - target).max() <= 1e-8 for r in rec.roots)
     rates = [e for rec in records for e in rec.events if "growing" in e]
     assert rates  # blow-up is flagged
+
+
+def test_sigma_homotopy_polish_uses_caller_options(k2, monkeypatch):
+    seen = []
+    real = continuation.solve_scalar
+
+    def spy(g, m, seed, opts=None):
+        seen.append(opts)
+        return real(g, m, seed, opts)
+
+    monkeypatch.setattr(continuation, "solve_scalar", spy)
+    m = ScalarModel(lam=1.0, f=np.zeros(2))
+    opts = SolveOptions(tol_residual=1e-10, max_iter=50)
+    records = sigma_homotopy(k2, m, [1.0, 0.5, 0.25], opts=opts, seeds=[np.zeros(2)])
+    # one polish for the seed, then one per tracked root and slice
+    assert len(seen) == 3
+    assert all(o is opts for o in seen)
+    assert [len(rec.roots) for rec in records] == [1, 1, 1]
 
 
 def test_sigma_homotopy_system_branch_dies_at_zero(k2):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from cshlab import (
     sup_norm,
 )
 from cshlab.checks import check_solver
+from cshlab.solve import _dedup_points, _newton_steps, _Problem
 
 
 def test_options_validation():
@@ -231,6 +233,117 @@ def test_enumerate_seed_cap(k2):
     with pytest.raises(SolverError, match="seed budget"):
         enumerate_solutions(k2, m, box=(-3.0, 3.0), grid_n=200,
                             opts=SolveOptions(seed_cap=1000))
+
+
+def test_enumerate_seed_cap_checked_before_allocation(k2):
+    # a 3000 x 3000 grid would take ~144 MB as float64 seeds; the cap must
+    # fire before any of it is built
+    m = ScalarModel(lam=1.0, f=np.zeros(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match="seed budget"):
+            enumerate_report(k2, m, box=(-3.0, 3.0), grid_n=3000,
+                             opts=SolveOptions(seed_cap=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _stack_problem(J: np.ndarray) -> _Problem:
+    n = J.shape[-1]
+    return _Problem(n=n, mu=np.ones(n), residual=None, jacobian=lambda X: J,
+                    hessian=None, anchors=lambda: [])
+
+
+def test_newton_steps_mixed_stack_matches_row_by_row(k2):
+    # regular rows, exactly singular rows (lam = 0, mean-zero source: the
+    # Jacobian is the singular -Laplacian) and non-finite rows in one stack
+    rng = np.random.default_rng(7)
+    sing = jacobian(k2, ScalarModel(lam=0.0, f=np.array([1.0, -1.0])), np.zeros(2))
+    assert np.linalg.matrix_rank(sing) == 1
+    kinds = ["regular", "singular", "regular", "nonfinite", "singular",
+             "regular", "nonfinite", "regular"]
+    J = np.empty((len(kinds), 2, 2))
+    for k, kind in enumerate(kinds):
+        if kind == "regular":
+            J[k] = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
+        elif kind == "singular":
+            # power-of-two scale: LU still meets an exactly zero pivot
+            J[k] = sing * 2.0 ** rng.integers(-2, 3)
+        else:
+            J[k] = np.array([[np.nan, 1.0], [0.0, np.inf]])
+    F = rng.normal(size=(len(kinds), 2))
+    pseudo = np.zeros(len(kinds), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
+
+    kinds = np.array(kinds)
+    np.testing.assert_array_equal(pseudo, kinds == "singular")
+    np.testing.assert_array_equal(bad, kinds == "nonfinite")
+    for k, kind in enumerate(kinds):
+        if kind == "regular":
+            expected = np.linalg.solve(J[k], -F[k])
+        elif kind == "singular":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(J[k], -F[k])
+            expected = np.linalg.lstsq(J[k], -F[k], rcond=None)[0]
+        else:
+            expected = np.zeros(2)
+        assert steps[k].tobytes() == expected.tobytes(), (k, kind)
+
+
+def test_newton_steps_all_singular_stack(k2):
+    sing = jacobian(k2, ScalarModel(lam=0.0, f=np.array([1.0, -1.0])), np.zeros(2))
+    J = np.stack([sing, 2.0 * sing, 0.5 * sing])
+    F = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.25]])
+    pseudo = np.zeros(3, dtype=bool)
+    steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
+    assert pseudo.all() and not bad.any()
+    for k in range(3):
+        assert steps[k].tobytes() == np.linalg.lstsq(J[k], -F[k], rcond=None)[0].tobytes()
+
+
+def _dedup_points_loop(points, norms, tol):
+    # the original per-row greedy loop, kept as the reference
+    order = np.argsort(norms, kind="stable")
+    kept = []
+    for i in order:
+        p = points[i]
+        if all(np.abs(points[j] - p).max() > tol for j in kept):
+            kept.append(int(i))
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_points_matches_loop_on_clustered_clouds(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    n = int(rng.integers(1, 5))
+    centers = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 12)), n))
+    labels = rng.integers(0, len(centers), size=400)
+    points = centers[labels] + rng.uniform(-1.5 * tol, 1.5 * tol, size=(400, n))
+    # residual norms on a coarse lattice, so many of them tie
+    norms = rng.integers(0, 5, size=400) * 1e-14
+    kept = _dedup_points(points, norms, tol)
+    assert kept == _dedup_points_loop(points, norms, tol)
+    assert all(isinstance(i, int) for i in kept)
+
+
+def test_dedup_points_chain_and_ties():
+    tol = 1e-6
+    # a chain of points, each 0.8 tol from the next: which links survive
+    # depends on the order the greedy takes them in
+    chain = (0.8 * tol * np.arange(9))[:, None] * np.ones((1, 2))
+    for norms in (np.zeros(9), np.arange(9.0), np.arange(9.0)[::-1].copy(),
+                  np.array([3.0, 1.0, 1.0, 0.0, 2.0, 0.0, 1.0, 3.0, 2.0])):
+        assert _dedup_points(chain, norms, tol) == _dedup_points_loop(chain, norms, tol)
+    assert _dedup_points(chain, np.zeros(9), tol) == [0, 2, 4, 6, 8]
+    # an exact distance of tol is a duplicate (kept rows are strictly farther)
+    pair = np.array([[0.0], [0.5]])
+    assert _dedup_points(pair, np.zeros(2), 0.5) == [0]
+    assert _dedup_points(np.empty((0, 3)), np.empty(0), tol) == []
 
 
 def test_box_extremize_interior_min(k2):

@@ -27,6 +27,7 @@ from .solve import (
     ClassifiedSolution,
     SolveOptions,
     _dedup_points,
+    _sort_roots,
     enumerate_solutions,
     solve_scalar,
     solve_system,
@@ -300,7 +301,7 @@ def _dedup_solutions(sols: list[ClassifiedSolution], tol: float) -> list[Classif
     points = np.array([s.point for s in sols])
     norms = np.array([s.residual_norm for s in sols])
     kept = [sols[i] for i in _dedup_points(points, norms, tol)]
-    kept.sort(key=lambda s: tuple(s.point))
+    _sort_roots(kept, tol)
     return kept
 
 

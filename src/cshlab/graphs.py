@@ -313,8 +313,18 @@ def average(g: WeightedGraph, h: np.ndarray) -> float | np.ndarray:
 
 
 def sup_norm(h: np.ndarray) -> float | np.ndarray:
-    h = np.asarray(h, dtype=float)
-    out = np.abs(h).max(axis=-1)
+    """``max |h|`` over the last axis: a float for one function, an array for a stack.
+
+    The columns are folded with ``np.maximum``, which gives bitwise the result
+    of ``np.abs(h).max(axis=-1)`` (NaN included) but runs several times faster
+    on tall stacks of short rows, where numpy reduces the short axis slowly.
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if h.shape[-1] == 0:
+        raise ValueError("sup_norm of an empty vertex function")
+    out = np.abs(h[..., 0], out=np.empty(h.shape[:-1]))
+    for j in range(1, h.shape[-1]):
+        np.maximum(out, np.abs(h[..., j]), out=out)
     return float(out) if out.ndim == 0 else out
 
 

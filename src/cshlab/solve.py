@@ -5,10 +5,16 @@ on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
 stays fast even with 10^5..10^6 seeds.  Each Newton step is one stacked linear
 solve; when a singular Jacobian makes it fail, the sign of the LU determinant
 picks out the singular rows, the rest are solved in one stacked call again and
-only the singular rows take a least-squares step.  Found roots are
-deduplicated in sup norm by an array greedy pass, classified through the
-eigenvalues of the energy Hessian in the mu-weighted inner product, and
-reported sorted.
+only the singular rows take a least-squares step.  The backtracking ladder
+1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ... step lengths, each block
+one stacked residual call over the rows still searching; every row accepts the
+first step length of the ladder that passes the Armijo test, as a one-at-a-time
+search would, and no block holds more trial rows than the full-step round.
+Row sup norms fold the short last axis column by column
+(:func:`~cshlab.graphs.sup_norm`).  Found roots are deduplicated in sup norm
+by an array greedy pass, classified through the eigenvalues of the energy
+Hessian in the mu-weighted inner product, and reported sorted on coordinates
+rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
 Completeness of enumeration is empirical, never certified: a grid whose
 refinement by doubling produces no new roots is declared stable, and reports
@@ -216,14 +222,14 @@ def _make_problem(g: WeightedGraph, model) -> _Problem:
 def _residual_rows(problem: _Problem, X: np.ndarray) -> np.ndarray:
     """Residuals for rows inside the exp guard; +inf rows elsewhere."""
     out = np.full(X.shape, np.inf)
-    inb = np.abs(X).max(axis=-1) <= EXP_GUARD
+    inb = sup_norm(X) <= EXP_GUARD
     if inb.any():
         out[inb] = problem.residual(X[inb])
     return out
 
 
 def _norms(F: np.ndarray) -> np.ndarray:
-    nF = np.abs(F).max(axis=-1)
+    nF = sup_norm(F)
     return np.where(np.isfinite(nF), nF, np.inf)
 
 
@@ -239,7 +245,8 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
     """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
-    idx = np.nonzero(np.all(np.isfinite(J), axis=(-2, -1)))[0]
+    # a sup norm is finite exactly when every entry it covers is
+    idx = np.nonzero(np.isfinite(sup_norm(sup_norm(J))))[0]
     if idx.size < len(J):
         J = J[idx]
     if idx.size:
@@ -255,7 +262,7 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
             for k in np.nonzero(singular)[0]:
                 steps[idx[k]] = np.linalg.lstsq(J[k], rhs[k, :, 0], rcond=None)[0]
             pseudo[idx[singular]] = True
-    bad = ~np.all(np.isfinite(steps), axis=-1)
+    bad = ~np.isfinite(sup_norm(steps))
     steps[bad] = 0.0
     return steps, bad
 
@@ -280,7 +287,12 @@ def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
     status[~np.isfinite(nF)] = _DIVERGED
     pseudo = np.zeros(N, dtype=bool)
     iters = np.zeros(N, dtype=np.int32)
-    tmin = 1e-12
+    # backtracking step lengths 1, d, d^2, ... >= 1e-12, built by repeated
+    # multiplication so each equals the one a shrink-per-round loop reaches
+    ladder = [1.0]
+    while ladder[-1] * opts.damping >= 1e-12:
+        ladder.append(ladder[-1] * opts.damping)
+    ladder = np.array(ladder)
     # plateau detection: rows that fail to halve their residual across a
     # checkpoint window are circling a positive floor (no root nearby) and
     # are retired early; converging rows reduce at least geometrically
@@ -306,27 +318,29 @@ def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
             continue
         steps = steps[~bad]
 
-        t = np.ones(live.size)
-        pending = np.ones(live.size, dtype=bool)
+        # test the ladder in blocks of 1, 1, 2, 4, ... step lengths; a block
+        # holds at most live.size trial rows, as many as the full-step round
         base = X[live]
         base_norm = nF[live]
-        while pending.any():
-            rows = np.nonzero(pending)[0]
-            trial = base[rows] + t[rows, None] * steps[rows]
-            Ft = _residual_rows(problem, trial)
+        rows = np.arange(live.size)  # rows of live still searching
+        pos = 0
+        while rows.size and pos < ladder.size:
+            width = min(max(pos, 1), live.size // rows.size, ladder.size - pos)
+            t = ladder[pos:pos + width]
+            trial = base[rows, None] + t[:, None] * steps[rows, None]
+            Ft = _residual_rows(problem, trial.reshape(-1, X.shape[1])).reshape(trial.shape)
             nFt = _norms(Ft)
-            ok = nFt <= (1.0 - opts.armijo * t[rows]) * base_norm[rows]
-            good = rows[ok]
-            gi = live[good]
-            X[gi] = trial[ok]
-            F[gi] = Ft[ok]
-            nF[gi] = nFt[ok]
-            pending[good] = False
-            shrink = rows[~ok]
-            t[shrink] *= opts.damping
-            dead = shrink[t[shrink] < tmin]
-            status[live[dead]] = _STALLED
-            pending[dead] = False
+            ok = nFt <= (1.0 - opts.armijo * t) * base_norm[rows, None]
+            found = ok.any(axis=1)
+            hit = np.nonzero(found)[0]
+            first = ok[hit].argmax(axis=1)  # each row's first passing step
+            gi = live[rows[hit]]
+            X[gi] = trial[hit, first]
+            F[gi] = Ft[hit, first]
+            nF[gi] = nFt[hit, first]
+            rows = rows[~found]
+            pos += width
+        status[live[rows]] = _STALLED
     status[(status == _RUNNING) & (nF <= opts.tol_residual)] = _CONVERGED
     status[status == _RUNNING] = _EXHAUSTED
 
@@ -366,30 +380,6 @@ def _classify_root(problem: _Problem, x: np.ndarray, res_norm: float,
     )
 
 
-def _batchify(fn: Callable, out_extra: int) -> Callable:
-    """Wrap a single-point callback so it also accepts (N, n) stacks."""
-
-    def wrapped(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return np.asarray(fn(X), dtype=float)
-        first = np.asarray(fn(X[0]), dtype=float)
-        if first.ndim == 1 + out_extra and X.shape[0] > 0:
-            try:
-                full = np.asarray(fn(X), dtype=float)
-                if full.shape == X.shape[:1] + first.shape:
-                    return full
-            except Exception:
-                pass
-        out = np.empty(X.shape[:1] + first.shape)
-        out[0] = first
-        for k in range(1, len(X)):
-            out[k] = np.asarray(fn(X[k]), dtype=float)
-        return out
-
-    return wrapped
-
-
 def newton(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -411,16 +401,15 @@ def newton(
     seed = np.asarray(seed, dtype=float)
     if np.abs(seed).max() > EXP_GUARD:
         raise OverflowGuardError("seed lies outside the admissible range")
-    res_b = _batchify(residual, 0)
-    jac_b = _batchify(jacobian, 1)
     hess = hessian or jacobian
     if opts.check_callbacks:
-        _verify_jacobian(res_b, jac_b, seed)
+        _verify_jacobian(residual, jacobian, seed)
+    # the callbacks take one point; a one-seed batch evaluates one row per call
     problem = _Problem(
         n=len(seed),
         mu=np.ones(len(seed)) if mu is None else np.asarray(mu, dtype=float),
-        residual=res_b,
-        jacobian=jac_b,
+        residual=lambda X: np.asarray(residual(X[0]), dtype=float)[None],
+        jacobian=lambda X: np.asarray(jacobian(X[0]), dtype=float)[None],
         hessian=lambda x: np.asarray(hess(x), dtype=float),
         anchors=lambda: [],
     )
@@ -442,7 +431,8 @@ def _verify_jacobian(res, jac, x: np.ndarray, h: float = 1e-6, tol: float = 1e-4
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        fd[:, k] = (res(x + e) - res(x - e)) / (2.0 * h)
+        diff = np.asarray(res(x + e), dtype=float) - np.asarray(res(x - e), dtype=float)
+        fd[:, k] = diff / (2.0 * h)
     if not np.allclose(J, fd, rtol=tol, atol=tol * (1.0 + np.abs(J).max())):
         raise ValueError("jacobian callback disagrees with finite differences of residual")
 
@@ -576,8 +566,20 @@ def _dedup_points(points: np.ndarray, norms: np.ndarray, tol: float) -> list[int
     while remaining.size:
         i, remaining = remaining[0], remaining[1:]
         kept.append(int(i))
-        remaining = remaining[np.abs(points[remaining] - points[i]).max(axis=-1) > tol]
+        remaining = remaining[sup_norm(points[remaining] - points[i]) > tol]
     return kept
+
+
+def _sort_roots(roots: list[ClassifiedSolution], tol: float) -> None:
+    """Sort roots in place on their coordinates rounded to multiples of ``tol``.
+
+    Symmetric roots can tie in a coordinate up to rounding noise (~1e-15);
+    sorting on raw coordinates would order them by that noise, which changes
+    with the linear-solve path.  Deduplicated roots lie more than ``tol``
+    apart, so the rounded keys differ; the raw coordinates only break the
+    ties left when a rounded coordinate straddles a half-integer.
+    """
+    roots.sort(key=lambda s: (tuple(np.rint(s.point / tol).tolist()), tuple(s.point)))
 
 
 def enumerate_report(
@@ -683,7 +685,7 @@ def enumerate_report(
         _classify_root(problem, p, r, ps, it)
         for p, r, ps, it in zip(known, known_norm, known_pseudo, known_iters)
     ]
-    roots.sort(key=lambda s: tuple(s.point))
+    _sort_roots(roots, opts.dedup_tol)
     return EnumerationReport(
         roots=roots,
         box=(lo, hi),
@@ -709,7 +711,8 @@ def enumerate_solutions(
     extra_seeds: Sequence[np.ndarray] | None = None,
     check_box: bool = True,
 ) -> list[ClassifiedSolution]:
-    """Deduplicated, classified, lexicographically sorted roots in the box.
+    """Deduplicated, classified roots in the box, sorted lexicographically on
+    coordinates rounded to ``dedup_tol``.
 
     ``check_box`` controls the warning raised when the box is smaller than
     the a priori radius; callers scanning sub-windows on purpose disable it.

@@ -92,6 +92,29 @@ def test_integrals(k2, p3_weighted):
     assert average(p3_weighted, ones) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", [(50, 1), (50, 2), (50, 5), (40, 7), (3, 4, 5), (0, 3)])
+def test_sup_norm_folds_columns_like_max(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    h = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape) < 0.15
+    h[pick] = rng.choice(specials, size=int(pick.sum()))
+    out = sup_norm(h)
+    expected = np.abs(h).max(axis=-1)
+    assert isinstance(out, np.ndarray) and out.dtype == expected.dtype
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
+def test_sup_norm_single_function_and_empty_axis():
+    one = sup_norm(np.array([-0.0, -3.5, 2.0]))
+    assert type(one) is float and one == 3.5
+    assert type(sup_norm([1.0, np.nan])) is float and np.isnan(sup_norm([1.0, np.nan]))
+    assert sup_norm(np.array([-0.0])) == 0.0 and np.copysign(1.0, sup_norm(np.array([-0.0]))) == 1.0
+    for empty in (np.empty(0), np.empty((3, 0))):
+        with pytest.raises(ValueError):
+            sup_norm(empty)
+
+
 def test_spectral_gap_k2(k2):
     spec = spectral_gap(k2)
     assert spec.lambda1 == pytest.approx(2.0, abs=1e-12)

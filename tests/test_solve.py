@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -21,8 +22,20 @@ from cshlab import (
     subsolution_bounds,
     sup_norm,
 )
+import cshlab.solve as solve_mod
 from cshlab.checks import check_solver
-from cshlab.solve import _dedup_points, _newton_steps, _Problem
+from cshlab.continuation import _dedup_solutions
+from cshlab.scalar import EXP_GUARD
+from cshlab.solve import (
+    ClassifiedSolution,
+    _dedup_points,
+    _newton_batch,
+    _newton_steps,
+    _norms,
+    _Problem,
+    _residual_rows,
+    _sort_roots,
+)
 
 
 def test_options_validation():
@@ -84,21 +97,42 @@ def test_newton_finds_both_constant_roots(k2):
     assert np.allclose(s2.point, hi, atol=1e-10)
 
 
-def test_newton_accepts_single_point_callbacks(k2):
-    # callbacks that only handle one point at a time are batch-wrapped
+def test_newton_accepts_single_point_callbacks(k2, monkeypatch):
+    # callbacks that take one point at a time are called once per row the
+    # batched Newton driver evaluates, and never with a stack
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    ndims = {"residual": [], "jacobian": []}
 
     def res(u):
-        assert np.ndim(u) == 1
+        ndims["residual"].append(np.ndim(u))
         return residual(k2, m, u)
 
     def jac(u):
-        assert np.ndim(u) == 1
+        ndims["jacobian"].append(np.ndim(u))
         return jacobian(k2, m, u)
 
-    sol = newton(res, jac, np.array([-2.1, -2.2]), mu=k2.mu)
+    rows = {"residual": 0, "jacobian": 0}
+    real_batch = solve_mod._newton_batch
+
+    def counting_batch(problem, seeds, opts):
+        def counted(name, fn):
+            def wrapped(X):
+                rows[name] += len(X)
+                return fn(X)
+            return wrapped
+
+        problem = dataclasses.replace(problem, residual=counted("residual", problem.residual),
+                                      jacobian=counted("jacobian", problem.jacobian))
+        return real_batch(problem, seeds, opts)
+
+    monkeypatch.setattr(solve_mod, "_newton_batch", counting_batch)
+    sol = newton(res, jac, np.array([-2.1, -2.2]), mu=k2.mu,
+                 hessian=lambda u: jacobian(k2, m, u))
     assert np.allclose(sol.point, constant_solutions(m)[0], atol=1e-10)
     assert sol.morse_index == 0
+    for name in ("residual", "jacobian"):
+        assert ndims[name] and set(ndims[name]) == {1}, name
+        assert len(ndims[name]) == rows[name], name
 
 
 def test_box_extremize_default_fd_hessian():
@@ -344,6 +378,179 @@ def test_dedup_points_chain_and_ties():
     pair = np.array([[0.0], [0.5]])
     assert _dedup_points(pair, np.zeros(2), 0.5) == [0]
     assert _dedup_points(np.empty((0, 3)), np.empty(0), tol) == []
+
+
+def _newton_batch_sequential(problem, seeds, opts, stats):
+    # the Newton driver with the original one-step-per-round line search,
+    # kept as the reference; ``stats`` records what the line search met
+    X = np.array(seeds, dtype=float)
+    N = len(X)
+    F = _residual_rows(problem, X)
+    nF = _norms(F)
+    status = np.full(N, solve_mod._RUNNING, dtype=np.int8)
+    status[~np.isfinite(nF)] = solve_mod._DIVERGED
+    pseudo = np.zeros(N, dtype=bool)
+    iters = np.zeros(N, dtype=np.int32)
+    tmin = 1e-12
+    check_every, check_norm = 8, nF.copy()
+    running_code, conv_code = solve_mod._RUNNING, solve_mod._CONVERGED
+    for it in range(opts.max_iter):
+        if it and it % check_every == 0:
+            running = status == running_code
+            plateau = running & (nF > 0.5 * check_norm) & (nF > 1e3 * opts.tol_residual)
+            status[plateau] = solve_mod._STALLED
+            check_norm[running] = nF[running]
+        status[(status == running_code) & (nF <= opts.tol_residual)] = conv_code
+        act = np.nonzero(status == running_code)[0]
+        if act.size == 0:
+            break
+        iters[act] += 1
+        psub = pseudo[act].copy()
+        steps, bad = _newton_steps(problem, X[act], F[act], psub)
+        pseudo[act] = psub
+        status[act[bad]] = solve_mod._DIVERGED
+        live = act[~bad]
+        if live.size == 0:
+            continue
+        steps = steps[~bad]
+        t = np.ones(live.size)
+        pending = np.ones(live.size, dtype=bool)
+        base = X[live]
+        base_norm = nF[live]
+        while pending.any():
+            rows = np.nonzero(pending)[0]
+            trial = base[rows] + t[rows, None] * steps[rows]
+            stats["guard_exits"] += int((np.abs(trial).max(axis=-1) > EXP_GUARD).sum())
+            Ft = _residual_rows(problem, trial)
+            nFt = _norms(Ft)
+            ok = nFt <= (1.0 - opts.armijo * t[rows]) * base_norm[rows]
+            good = rows[ok]
+            stats["accepted_t"].update(t[good].tolist())
+            gi = live[good]
+            X[gi] = trial[ok]
+            F[gi] = Ft[ok]
+            nF[gi] = nFt[ok]
+            pending[good] = False
+            shrink = rows[~ok]
+            t[shrink] *= opts.damping
+            dead = shrink[t[shrink] < tmin]
+            stats["ladder_stalls"] += dead.size
+            status[live[dead]] = solve_mod._STALLED
+            pending[dead] = False
+    status[(status == running_code) & (nF <= opts.tol_residual)] = conv_code
+    status[status == running_code] = solve_mod._EXHAUSTED
+    conv = np.nonzero(status == conv_code)[0]
+    for _ in range(opts.polish_steps):
+        if conv.size == 0:
+            break
+        psub = pseudo[conv].copy()
+        steps, bad = _newton_steps(problem, X[conv], F[conv], psub)
+        pseudo[conv] = psub
+        trial = X[conv] + steps
+        Ft = _residual_rows(problem, trial)
+        nFt = _norms(Ft)
+        better = ~bad & (nFt < nF[conv])
+        gi = conv[better]
+        X[gi] = trial[better]
+        F[gi] = Ft[better]
+        nF[gi] = nFt[better]
+        conv = gi
+    return X, nF, status, pseudo, iters
+
+
+def _squash_problem():
+    # F(x) = x / (1 + |x|) on each coordinate: only correctly rounded
+    # arithmetic, so a row's residual bits do not depend on its batch.  Full
+    # Newton steps overshoot far from 0 (depth grows with |x|, and long
+    # steps leave the exp guard).  Rows with 40 < x1 < 41 get the Jacobian's
+    # sign flipped: their step is an ascent direction and no step length of
+    # the ladder passes the Armijo test.  Rows at x1 = 0.5 get a Jacobian
+    # 1.5e-12 times too small: only the last step length, 2**-39, passes;
+    # at x1 = -0.5 the factor is 0.75e-12 and only 2**-40, past the ladder's
+    # end, would pass.
+    def res(X):
+        return X / (1.0 + np.abs(X))
+
+    def jac(X):
+        d = 1.0 / ((1.0 + np.abs(X)) * (1.0 + np.abs(X)))
+        flip = (X[:, 1] > 40.0) & (X[:, 1] < 41.0)
+        d[flip] = -d[flip]
+        d[X[:, 1] == 0.5] *= 1.5e-12
+        d[X[:, 1] == -0.5] *= 0.75e-12
+        J = np.zeros(X.shape + (2,))
+        J[:, 0, 0], J[:, 1, 1] = d[:, 0], d[:, 1]
+        return J
+
+    return _Problem(n=2, mu=np.ones(2), residual=res, jacobian=jac,
+                    hessian=None, anchors=lambda: [])
+
+
+def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
+    rng = np.random.default_rng(11)
+    near = rng.uniform(-1.0, 1.0, size=(60, 2))
+    far = rng.choice([-1.0, 1.0], size=(60, 2)) * 10.0 ** rng.uniform(0.3, 2.7, size=(60, 2))
+    ascent = np.column_stack([rng.uniform(-0.5, 0.5, 12), np.full(12, 40.5)])
+    last_rung = np.array([[0.1, 0.5], [-0.2, 0.5], [0.1, -0.5]])
+    seeds = np.vstack([near, far, ascent, last_rung, np.zeros((3, 2))])
+    seeds = seeds[rng.permutation(len(seeds))]
+    problem, opts = _squash_problem(), SolveOptions()
+
+    stats = {"accepted_t": set(), "ladder_stalls": 0, "guard_exits": 0}
+    expected = _newton_batch_sequential(problem, seeds, opts, stats)
+    # the inputs reach every branch of the line search
+    assert 1.0 in stats["accepted_t"] and len(stats["accepted_t"]) >= 6
+    assert min(stats["accepted_t"]) == 0.5 ** 39
+    assert stats["ladder_stalls"] >= 13 and stats["guard_exits"] > 0
+
+    # record each residual batch; a Newton step opens with its full-step
+    # round, and no later block of that step may hold more rows
+    calls = []
+    real_rows, real_steps = solve_mod._residual_rows, solve_mod._newton_steps
+
+    def rows_spy(problem, X):
+        calls.append(("rows", len(X)))
+        return real_rows(problem, X)
+
+    def steps_spy(problem, X, F, pseudo):
+        calls.append(("step", len(X)))
+        return real_steps(problem, X, F, pseudo)
+
+    monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
+    monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
+    got = _newton_batch(problem, seeds, opts)
+    for name, a, b in zip(("X", "nF", "status", "pseudo", "iters"), got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    full_round = None
+    for kind, size in calls:
+        if kind == "step":
+            full_round = None
+        elif full_round is None:
+            full_round = size
+        else:
+            assert size <= full_round
+
+
+def test_root_order_ignores_rounding_level_ties():
+    # two roots tie to 1e-15 in their first coordinate; whichever carries the
+    # noise and whatever the input order, the second coordinate decides
+    tol = SolveOptions().dedup_tol
+
+    def root(point):
+        return ClassifiedSolution(point=np.array(point), residual_norm=0.0, sign_det=1,
+                                  morse_index=0, nondegenerate=True,
+                                  critical_group_ranks=(1, 0, 0))
+
+    orders = set()
+    for noise_a, noise_b in ((0.0, 1e-15), (1e-15, 0.0)):
+        a, b = root([0.3 + noise_a, 2.0]), root([0.3 + noise_b, -1.0])
+        assert a.point[0] != b.point[0]
+        for given in ([a, b], [b, a]):
+            out = list(given)
+            _sort_roots(out, tol)
+            orders.add(tuple(r.point[1] for r in out))
+            orders.add(tuple(r.point[1] for r in _dedup_solutions(list(given), tol)))
+    assert orders == {(-1.0, 2.0)}
 
 
 def test_box_extremize_interior_min(k2):

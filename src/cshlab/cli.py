@@ -14,9 +14,7 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +260,7 @@ def _system_radius(g, model, cfg) -> float:
     return apriori_bound_system(g, model, float(lam1), float(lam2)).bound
 
 
-def cmd_sweep(g, model, cfg, opts, emit, jobs) -> int:
+def cmd_sweep(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, ScalarModel):
         raise ConfigError("sweep is defined for the scalar model")
     section = cfg.get("sweep", {})
@@ -290,7 +288,7 @@ def cmd_sweep(g, model, cfg, opts, emit, jobs) -> int:
     return 0
 
 
-def cmd_system(g, model, cfg, opts, emit, jobs) -> int:
+def cmd_system(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
     section = cfg.get("system", {})
@@ -322,30 +320,17 @@ def cmd_system(g, model, cfg, opts, emit, jobs) -> int:
     return 0
 
 
-def cmd_check(cfg, opts, emit, jobs) -> int:
-    suites = {
-        "graph_calculus": lambda: checks.check_graph_calculus(opts.rng_seed),
-        "elliptic_estimate": lambda: checks.check_elliptic_estimate(opts.rng_seed, n_funcs=200),
-        "scalar_consistency": lambda: checks.check_scalar_consistency(opts.rng_seed),
-        "gauge_identity": lambda: checks.check_gauge_identity(opts.rng_seed),
-        "solution_identity": lambda: checks.check_solution_identity(opts.rng_seed),
-        "system_consistency": lambda: checks.check_system_consistency(opts.rng_seed),
-        "solver": lambda: checks.check_solver(opts.rng_seed),
-    }
-    any_bad = False
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = {name: pool.submit(fn) for name, fn in suites.items()}
-        for name, fut in futures.items():
-            violations = fut.result()
-            any_bad = any_bad or bool(violations)
-            emit.emit({
-                "kind": "check",
-                "suite": name,
-                "passed": not violations,
-                "violations": violations[:20],
-                "violation_count": len(violations),
-            })
-    return 4 if any_bad else 0
+def cmd_check(opts, emit) -> int:
+    results = checks.run_all(opts.rng_seed)
+    for name, violations in results.items():
+        emit.emit({
+            "kind": "check",
+            "suite": name,
+            "passed": not violations,
+            "violations": violations[:20],
+            "violation_count": len(violations),
+        })
+    return 4 if any(results.values()) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +345,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--graph", help="path to a graph JSON file")
     ap.add_argument("--config", help="path to an experiment config JSON file")
     ap.add_argument("--out", help="write results here instead of stdout")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker threads for independent subtasks")
     ap.add_argument("--seed", type=int, default=None, help="RNG seed for randomized policies")
     ap.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
     return ap
@@ -375,7 +358,7 @@ def main(argv=None) -> int:
         opts = _solve_options(cfg, args)
         emit = _Emitter(args.out)
         if args.command == "check":
-            return cmd_check(cfg, opts, emit, args.jobs)
+            return cmd_check(opts, emit)
         g = _load_graph_from(cfg, args)
         model = _build_model(g, cfg)
         if args.command == "solve":
@@ -385,9 +368,9 @@ def main(argv=None) -> int:
         if args.command == "degree":
             return cmd_degree(g, model, cfg, opts, emit)
         if args.command == "sweep":
-            return cmd_sweep(g, model, cfg, opts, emit, args.jobs)
+            return cmd_sweep(g, model, cfg, opts, emit)
         if args.command == "system":
-            return cmd_system(g, model, cfg, opts, emit, args.jobs)
+            return cmd_system(g, model, cfg, opts, emit)
         raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, GraphError, ValueError) as exc:
         print(f"cshlab {args.command}: config error ({type(exc).__name__}): {exc}", file=sys.stderr)

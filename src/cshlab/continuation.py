@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import SolverError
 from .graphs import WeightedGraph, average, sup_norm
-from .scalar import ScalarModel, apriori_radius
+from .scalar import ScalarModel
 from .solve import (
     ClassifiedSolution,
     SolveOptions,
+    _apriori_radius_or_none,
     _dedup_points,
     _sort_roots,
     enumerate_solutions,
@@ -75,14 +76,12 @@ def _count_types(roots: list[ClassifiedSolution], n: int) -> dict[str, int]:
     return counts
 
 
-def _scalar_box(g: WeightedGraph, m: ScalarModel, box, opts: SolveOptions):
+def _enumeration_box(g: WeightedGraph, model, box, opts: SolveOptions):
+    """The caller's box, else the a priori ball, else the core window."""
     if box is not None:
         return box
-    try:
-        r = apriori_radius(g, m).radius
-        return (-r, r)
-    except ValueError:
-        return opts.core_window
+    r = _apriori_radius_or_none(g, model)
+    return opts.core_window if r is None else (-r, r)
 
 
 def _enumerate_at(g, model, box, grid_n, opts, warm):
@@ -118,7 +117,7 @@ def sweep_lambda(
     warm: list[ClassifiedSolution] = []
     for lam in values:
         m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-        roots = _enumerate_at(g, m, _scalar_box(g, m, box, opts), grid_n, opts, warm)
+        roots = _enumerate_at(g, m, _enumeration_box(g, m, box, opts), grid_n, opts, warm)
         records.append(BranchRecord(float(lam), roots, _count_types(roots, g.ell), []))
         warm = roots
 
@@ -127,7 +126,7 @@ def sweep_lambda(
         if a.counts != b.counts and np.sign(a.parameter) == np.sign(b.parameter):
             lam = 0.5 * (a.parameter + b.parameter)
             m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-            roots = _enumerate_at(g, m, _scalar_box(g, m, box, opts), grid_n, opts, a.roots + b.roots)
+            roots = _enumerate_at(g, m, _enumeration_box(g, m, box, opts), grid_n, opts, a.roots + b.roots)
             refined.append(BranchRecord(float(lam), roots, _count_types(roots, g.ell), []))
     # keep the caller's sweep direction so events read in sweep order
     refined.sort(key=lambda r: r.parameter, reverse=lambda_range[1] < lambda_range[0])
@@ -160,7 +159,7 @@ class ThresholdEstimate:
 
 def _certificate(g, f, lam: float, which: str, box, grid_n, opts) -> tuple[bool, str]:
     m = ScalarModel(lam=float(lam), f=f)
-    roots = enumerate_solutions(g, m, box=_scalar_box(g, m, box, opts), grid_n=grid_n,
+    roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), grid_n=grid_n,
                                 opts=opts, check_box=False)
     want_index = 0 if which in ("strict_min_pos", "strict_min_neg") else g.ell
     strict = any(r.nondegenerate and r.morse_index == want_index for r in roots)
@@ -260,8 +259,7 @@ def sigma_homotopy(
     sigma_path = [float(s) for s in sigma_path]
     if not sigma_path:
         return []
-    is_system = isinstance(model, SystemModel)
-    n = 2 * g.ell if is_system else g.ell
+    n = 2 * g.ell if isinstance(model, SystemModel) else g.ell
 
     records: list[BranchRecord] = []
     first = dataclasses.replace(model, sigma=sigma_path[0])
@@ -271,10 +269,8 @@ def sigma_homotopy(
             tracked.append(_polish(g, first, s, opts))
         tracked = [t for t in tracked if t is not None]
     else:
-        use_box = box
-        if use_box is None:
-            use_box = _scalar_box(g, first, None, opts) if not is_system else opts.core_window
-        tracked = enumerate_solutions(g, first, box=use_box, grid_n=grid_n, opts=opts)
+        tracked = enumerate_solutions(g, first, box=_enumeration_box(g, first, box, opts),
+                                      grid_n=grid_n, opts=opts)
     records.append(BranchRecord(sigma_path[0], list(tracked), _count_types(tracked, n), []))
 
     for prev_sigma, sigma in zip(sigma_path, sigma_path[1:]):

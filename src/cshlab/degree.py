@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, average, sup_norm
-from .scalar import ScalarModel, apriori_radius
+from .scalar import ScalarModel
 from .solve import (
     ClassifiedSolution,
     EnumerationReport,
     SolveOptions,
+    _apriori_radius_or_none,
     enumerate_report,
 )
 from .system import SystemModel
@@ -126,19 +127,18 @@ def degree_by_enumeration(
     if isinstance(model, ScalarModel):
         fbar = average(g, model.f)
         expected = expected_degree_scalar(model.lam, fbar)
+        apriori = _apriori_radius_or_none(g, model)
         if radius is None:
-            radius = apriori_radius(g, model).radius
-        else:
-            try:
-                apriori = apriori_radius(g, model).radius
-                if radius < apriori:
-                    warnings.warn(
-                        f"radius {radius} is below the a priori bound {apriori:.3g}; "
-                        "roots may fall outside the ball",
-                        stacklevel=2,
-                    )
-            except ValueError:
-                pass
+            if apriori is None:
+                raise ValueError("no a priori bound (it needs p = 1, sigma = 1 and "
+                                 "lam * mean(f) != 0); pass radius explicitly")
+            radius = apriori
+        elif apriori is not None and radius < apriori:
+            warnings.warn(
+                f"radius {radius} is below the a priori bound {apriori:.3g}; "
+                "roots may fall outside the ball",
+                stacklevel=2,
+            )
     elif isinstance(model, SystemModel):
         if radius is None:
             raise ValueError("pass the radius from apriori_bound_system for system models")

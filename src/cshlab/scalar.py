@@ -114,8 +114,8 @@ class AprioriData:
     radius: float
 
 
-def _check_range(u: np.ndarray) -> None:
-    if np.abs(u).max() > EXP_GUARD:
+def _check_range(*arrays: np.ndarray) -> None:
+    if any(np.abs(a).max() > EXP_GUARD for a in arrays):
         raise OverflowGuardError(
             f"vertex function leaves [-{EXP_GUARD:.0f}, {EXP_GUARD:.0f}]"
         )

@@ -11,10 +11,17 @@ one stacked residual call over the rows still searching; every row accepts the
 first step length of the ladder that passes the Armijo test, as a one-at-a-time
 search would, and no block holds more trial rows than the full-step round.
 Row sup norms fold the short last axis column by column
-(:func:`~cshlab.graphs.sup_norm`).  Found roots are deduplicated in sup norm
-by an array greedy pass, classified through the eigenvalues of the energy
+(:func:`~cshlab.graphs.sup_norm`).  Each grid level merges its converged rows
+into the known roots with one greedy sup-norm dedup pass over both (known rows
+first, so a re-found root replaces a known one only with a strictly lower
+residual).  Roots are classified through the eigenvalues of the energy
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
+
+``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path:
+a seed outside the exp guard is rejected, and a failed run raises
+:class:`~cshlab.errors.SolverError` naming its reason (the line search
+stalled, the iterate left the admissible range, or max_iter was exceeded).
 
 Completeness of enumeration is empirical, never certified: a grid whose
 refinement by doubling produces no new roots is declared stable, and reports
@@ -30,11 +37,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
-from .errors import OverflowGuardError, SolverError
+from .errors import SolverError
 from .graphs import WeightedGraph, solve_poisson, sup_norm
 from .scalar import (
     EXP_GUARD,
     ScalarModel,
+    _check_range,
     apriori_radius,
     constant_solutions,
     energy as scalar_energy,
@@ -124,13 +132,19 @@ class ClassifiedSolution:
     sign_det: int
     morse_index: int
     nondegenerate: bool
-    critical_group_ranks: tuple[int, ...] | None
     pseudo_inverse_used: bool = False
     iterations: int = 0
 
     @property
     def n(self) -> int:
         return len(self.point)
+
+    @property
+    def critical_group_ranks(self) -> tuple[int, ...] | None:
+        """Ranks in dimensions 0..n; None (unknown) at a degenerate point."""
+        if not self.nondegenerate:
+            return None
+        return tuple(1 if r == self.morse_index else 0 for r in range(self.n + 1))
 
 
 def morse_data(matrix: np.ndarray, mu: np.ndarray | None = None, rtol: float = 1e-8) -> MorseData:
@@ -374,10 +388,40 @@ def _classify_root(problem: _Problem, x: np.ndarray, res_norm: float,
         sign_det=md.sign_det,
         morse_index=md.morse_index,
         nondegenerate=md.nondegenerate,
-        critical_group_ranks=md.critical_group_ranks,
         pseudo_inverse_used=bool(pseudo),
         iterations=int(iterations),
     )
+
+
+_FAILURE_REASONS = {
+    _STALLED: "line search stalled (possibly singular Jacobian region)",
+    _DIVERGED: "iterate left the admissible range",
+    _EXHAUSTED: "max_iter = {max_iter} exceeded",
+}
+
+
+def _solve_one(problem: _Problem, seed: np.ndarray, opts: SolveOptions) -> ClassifiedSolution:
+    """Damped Newton from one seed, the path behind every single-seed entry point.
+
+    A seed outside the exp guard raises ``OverflowGuardError``.  With
+    ``opts.check_callbacks`` the Jacobian is first verified against central
+    differences at the seed.  A run that does not converge raises
+    :class:`SolverError` naming why (stalled, diverged or max_iter exceeded).
+    """
+    _check_range(seed)
+    if opts.check_callbacks:
+        _verify_jacobian(lambda x: problem.residual(x[None])[0],
+                         lambda x: problem.jacobian(x[None])[0], seed)
+    X, nF, status, pseudo, iters = _newton_batch(problem, seed[None, :], opts)
+    if status[0] != _CONVERGED:
+        reason = _FAILURE_REASONS[int(status[0])].format(max_iter=opts.max_iter)
+        raise SolverError(f"Newton failed: {reason}")
+    return _classify_root(problem, X[0], nF[0], pseudo[0], iters[0])
+
+
+def _broadcast(x, n: int) -> np.ndarray:
+    """``x`` as a float vector of length ``n``; a scalar fills it."""
+    return np.full(n, float(x)) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 def newton(
@@ -397,13 +441,8 @@ def newton(
     Jacobian is the energy Hessian).  With ``opts.check_callbacks`` the
     Jacobian is verified against central differences at the seed first.
     """
-    opts = opts or SolveOptions()
     seed = np.asarray(seed, dtype=float)
-    if np.abs(seed).max() > EXP_GUARD:
-        raise OverflowGuardError("seed lies outside the admissible range")
     hess = hessian or jacobian
-    if opts.check_callbacks:
-        _verify_jacobian(residual, jacobian, seed)
     # the callbacks take one point; a one-seed batch evaluates one row per call
     problem = _Problem(
         n=len(seed),
@@ -413,15 +452,7 @@ def newton(
         hessian=lambda x: np.asarray(hess(x), dtype=float),
         anchors=lambda: [],
     )
-    X, nF, status, pseudo, iters = _newton_batch(problem, seed[None, :], opts)
-    if status[0] != _CONVERGED:
-        reason = {
-            _STALLED: "line search stalled (possibly singular Jacobian region)",
-            _DIVERGED: "iterate left the admissible range",
-            _EXHAUSTED: f"max_iter = {opts.max_iter} exceeded",
-        }[int(status[0])]
-        raise SolverError(f"Newton failed: {reason}")
-    return _classify_root(problem, X[0], nF[0], pseudo[0], iters[0])
+    return _solve_one(problem, seed, opts or SolveOptions())
 
 
 def _verify_jacobian(res, jac, x: np.ndarray, h: float = 1e-6, tol: float = 1e-4) -> None:
@@ -439,26 +470,15 @@ def _verify_jacobian(res, jac, x: np.ndarray, h: float = 1e-6, tol: float = 1e-4
 
 def solve_scalar(g: WeightedGraph, m: ScalarModel, seed, opts: SolveOptions | None = None) -> ClassifiedSolution:
     """Newton for the scalar model from a seed (scalar seeds mean constants)."""
-    opts = opts or SolveOptions()
-    problem = _scalar_problem(g, m)
-    seed_arr = np.full(g.ell, float(seed)) if np.ndim(seed) == 0 else np.asarray(seed, dtype=float)
-    X, nF, status, pseudo, iters = _newton_batch(problem, seed_arr[None, :], opts)
-    if status[0] != _CONVERGED:
-        raise SolverError("Newton failed to converge from the given seed")
-    return _classify_root(problem, X[0], nF[0], pseudo[0], iters[0])
+    return _solve_one(_scalar_problem(g, m), _broadcast(seed, g.ell), opts or SolveOptions())
 
 
 def solve_system(
     g: WeightedGraph, s: SystemModel, useed, vseed, opts: SolveOptions | None = None
 ) -> ClassifiedSolution:
-    opts = opts or SolveOptions()
-    problem = _system_problem(g, s)
-    u = np.full(g.ell, float(useed)) if np.ndim(useed) == 0 else np.asarray(useed, dtype=float)
-    v = np.full(g.ell, float(vseed)) if np.ndim(vseed) == 0 else np.asarray(vseed, dtype=float)
-    X, nF, status, pseudo, iters = _newton_batch(problem, np.concatenate([u, v])[None, :], opts)
-    if status[0] != _CONVERGED:
-        raise SolverError("Newton failed to converge from the given seed")
-    return _classify_root(problem, X[0], nF[0], pseudo[0], iters[0])
+    """Newton for the system from a (u, v) seed pair (scalars mean constants)."""
+    seed = np.concatenate([_broadcast(useed, g.ell), _broadcast(vseed, g.ell)])
+    return _solve_one(_system_problem(g, s), seed, opts or SolveOptions())
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +510,7 @@ def default_grid_n(n: int, pair: bool = False) -> int:
 
 def _normalize_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = box
-    lo = np.full(n, float(lo)) if np.ndim(lo) == 0 else np.asarray(lo, dtype=float)
-    hi = np.full(n, float(hi)) if np.ndim(hi) == 0 else np.asarray(hi, dtype=float)
+    lo, hi = _broadcast(lo, n), _broadcast(hi, n)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ValueError(f"box bounds must be scalars or length-{n} arrays")
     if np.any(hi <= lo):
@@ -602,31 +621,29 @@ def enumerate_report(
     """
     opts = opts or SolveOptions()
     problem = _make_problem(g, model)
+    radius = _apriori_radius_or_none(g, model) if box is None or check_box else None
     if box is None:
-        box = _default_box(g, model)
-    elif check_box and isinstance(model, ScalarModel):
-        try:
-            radius = apriori_radius(g, model).radius
-        except ValueError:
-            radius = None
-        lo_w, hi_w = _normalize_box(box, problem.n)
-        slack = 1e-6 * (1.0 + (radius or 0.0))
-        if radius is not None and (np.any(lo_w > -radius + slack) or np.any(hi_w < radius - slack)):
+        if radius is None:
+            raise ValueError("no a priori bound (it needs a scalar model with p = 1, sigma = 1 "
+                             "and lam * mean(f) != 0); pass box explicitly")
+        box = (-radius, radius)
+    lo, hi = _normalize_box(box, problem.n)
+    if check_box and radius is not None:
+        slack = 1e-6 * (1.0 + radius)
+        if np.any(lo > -radius + slack) or np.any(hi < radius - slack):
             warnings.warn(
                 f"box is smaller than the a priori radius {radius:.3g}; "
                 "roots outside the box will be missed",
                 stacklevel=2,
             )
-    lo, hi = _normalize_box(box, problem.n)
     level = grid_n if grid_n is not None else (opts.grid_n or default_grid_n(problem.n, problem.pair))
     if level < 2:
         raise ValueError("grid_n must be at least 2")
 
     extra = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
-    known: list[np.ndarray] = []
-    known_norm: list[float] = []
-    known_pseudo: list[bool] = []
-    known_iters: list[int] = []
+    # known roots as parallel arrays: points, residual norms, pseudo flags, iterations
+    known = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
+             np.empty(0, dtype=np.int32)]
     levels: list[int] = []
     stable = False
     seeds_used = 0
@@ -641,7 +658,7 @@ def enumerate_report(
                 )
             break
         seeds = _seed_set(problem, lo, hi, level, opts,
-                          extra + [np.array(known)] if known else extra,
+                          extra + [known[0]] if len(known[0]) else extra,
                           include_box_net=(refinement == 0))
         if len(seeds) > opts.seed_cap:
             if refinement == 0:
@@ -652,39 +669,20 @@ def enumerate_report(
         seeds_used += len(seeds)
         levels.append(level)
         X, nF, status, pseudo, iters = _newton_batch(problem, seeds, opts)
-        conv = status == _CONVERGED
-        inside = np.all(X >= lo - opts.dedup_tol, axis=1) & np.all(X <= hi + opts.dedup_tol, axis=1)
-        pts = X[conv & inside]
-        pn = nF[conv & inside]
-        pp = pseudo[conv & inside]
-        pi = iters[conv & inside]
-        new_found = False
-        if len(pts):
-            kept = _dedup_points(pts, pn, opts.dedup_tol)
-            for i in kept:
-                p = pts[i]
-                dists = [np.abs(p - q).max() for q in known]
-                if known and min(dists) <= opts.dedup_tol:
-                    j = int(np.argmin(dists))
-                    if pn[i] < known_norm[j]:
-                        known[j], known_norm[j] = p, float(pn[i])
-                        known_pseudo[j], known_iters[j] = bool(pp[i]), int(pi[i])
-                else:
-                    known.append(p)
-                    known_norm.append(float(pn[i]))
-                    known_pseudo.append(bool(pp[i]))
-                    known_iters.append(int(pi[i]))
-                    if refinement > 0:
-                        new_found = True
-        if refinement > 0 and not new_found:
+        sel = ((status == _CONVERGED) & np.all(X >= lo - opts.dedup_tol, axis=1)
+               & np.all(X <= hi + opts.dedup_tol, axis=1))
+        # known rows come first, so a tie keeps the known root: a re-found
+        # root replaces it only with a strictly lower residual
+        merged = [np.concatenate([k, a[sel]]) for k, a in zip(known, (X, nF, pseudo, iters))]
+        kept = _dedup_points(merged[0], merged[1], opts.dedup_tol)
+        grew = len(kept) > len(known[0])
+        known = [a[kept] for a in merged]
+        if refinement > 0 and not grew:
             stable = True
             break
         level = 2 * level - 1
 
-    roots = [
-        _classify_root(problem, p, r, ps, it)
-        for p, r, ps, it in zip(known, known_norm, known_pseudo, known_iters)
-    ]
+    roots = [_classify_root(problem, *row) for row in zip(*known)]
     _sort_roots(roots, opts.dedup_tol)
     return EnumerationReport(
         roots=roots,
@@ -695,11 +693,18 @@ def enumerate_report(
     )
 
 
-def _default_box(g: WeightedGraph, model):
-    if isinstance(model, ScalarModel):
-        data = apriori_radius(g, model)
-        return (-data.radius, data.radius)
-    raise ValueError("no default box for this model; pass box explicitly")
+def _apriori_radius_or_none(g: WeightedGraph, model) -> float | None:
+    """The a priori radius of ``model``, or None where no bound applies.
+
+    Only the scalar model with p = 1, sigma = 1 and lam * mean(f) != 0 has one
+    (:func:`~cshlab.scalar.apriori_radius`); system models get None here.
+    """
+    if not isinstance(model, ScalarModel):
+        return None
+    try:
+        return apriori_radius(g, model).radius
+    except ValueError:
+        return None
 
 
 def enumerate_solutions(
@@ -825,7 +830,6 @@ def box_extremize(
         sign_det=md.sign_det,
         morse_index=md.morse_index,
         nondegenerate=md.nondegenerate,
-        critical_group_ranks=md.critical_group_ranks,
     )
     return BoxExtremum(
         point=x,
@@ -883,13 +887,11 @@ def extremize_scalar_in_box(
     opts: SolveOptions | None = None,
 ) -> BoxExtremum:
     """Box extremization of the scalar energy with analytic callbacks."""
-    lower = np.full(g.ell, float(lower)) if np.ndim(lower) == 0 else np.asarray(lower, dtype=float)
-    upper = np.full(g.ell, float(upper)) if np.ndim(upper) == 0 else np.asarray(upper, dtype=float)
     return box_extremize(
         energy=lambda u: scalar_energy(g, m, u),
         gradient=lambda u: scalar_residual(g, m, u) * g.mu,
-        lower=lower,
-        upper=upper,
+        lower=_broadcast(lower, g.ell),
+        upper=_broadcast(upper, g.ell),
         mode=mode,
         opts=opts,
         hessian=lambda u: scalar_jacobian(g, m, u) * g.mu[:, None],

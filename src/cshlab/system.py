@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverflowGuardError
 from .graphs import (
     WeightedGraph,
     as_vertex_function,
@@ -38,7 +37,7 @@ from .graphs import (
     spectral_gap,
     sup_norm,
 )
-from .scalar import EXP_GUARD
+from .scalar import _check_range, _ipow
 
 __all__ = [
     "SystemModel",
@@ -107,20 +106,6 @@ class SystemBound:
     C1: float
     C2: float
     bound: float
-
-
-def _check_range(u: np.ndarray, v: np.ndarray) -> None:
-    if max(np.abs(u).max(), np.abs(v).max()) > EXP_GUARD:
-        raise OverflowGuardError(
-            f"vertex function leaves [-{EXP_GUARD:.0f}, {EXP_GUARD:.0f}]"
-        )
-
-
-def _ipow(x: np.ndarray, k: int) -> np.ndarray:
-    out = np.ones_like(x)
-    for _ in range(k):
-        out = out * x
-    return out
 
 
 def residual_pair(

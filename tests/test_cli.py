@@ -144,26 +144,19 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
 
 
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):
+    # a solvable model with too small an iteration budget
     cfg = _write_config(tmp_path, {
         "model": "scalar",
-        "parameters": {"lambda": 0.0},
-        "source": {"f": {"values": {"x1": 1.0, "x2": -0.5}}},  # fbar != 0, no root
-        "solve": {"seed": 0.0},
-        "tolerances": {"max_iter": 30},
-    })
-    # lambda = 0 with nonzero mean reports insolvable (exit 0), so use a
-    # nonzero lambda with an out-of-reach tolerance instead
-    cfg2 = _write_config(tmp_path, {
-        "model": "scalar",
-        "parameters": {"lambda": -1e-8},
+        "parameters": {"lambda": -10.0},
         "source": {"f": {"constant": -1.0}},
         "solve": {"seed": 0.0},
-        "tolerances": {"max_iter": 5},
+        "tolerances": {"max_iter": 2},
     })
-    code = main(["solve", "--graph", k2_path, "--config", cfg2])
+    code = main(["solve", "--graph", k2_path, "--config", cfg])
     err = capsys.readouterr().err
     assert code == 3
     assert "solver failure" in err
+    assert "max_iter = 2 exceeded" in err
 
 
 def test_system_command(tmp_path, k2_path, capsys):

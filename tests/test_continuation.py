@@ -122,3 +122,16 @@ def test_sigma_homotopy_system_branch_dies_at_zero(k2):
     assert len(records[0].roots) == 1
     assert len(records[-1].roots) == 0
     assert any("branch lost" in e for rec in records for e in rec.events)
+
+
+def test_enumeration_box_falls_back_to_core_window(k2):
+    opts = SolveOptions(core_window=(-9.0, 2.5))
+    # lam * mean(f) = 0 and the system model have no a priori bound
+    for model in (ScalarModel(lam=-10.0, f=np.array([1.0, -1.0])),
+                  ScalarModel(lam=0.0, f=np.ones(2)),
+                  manufactured_system(k2)[0]):
+        assert continuation._enumeration_box(k2, model, None, opts) == (-9.0, 2.5)
+    m = ScalarModel(lam=-10.0, f=np.ones(2))
+    r = continuation._apriori_radius_or_none(k2, m)
+    assert r is not None and continuation._enumeration_box(k2, m, None, opts) == (-r, r)
+    assert continuation._enumeration_box(k2, m, (-1.0, 1.0), opts) == (-1.0, 1.0)

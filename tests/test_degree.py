@@ -66,8 +66,17 @@ def test_degree_radius_enlargement_invariance(k2):
 
 def test_degree_small_radius_warns(k2):
     m = ScalarModel(lam=-10.0, f=np.ones(2))
-    with pytest.warns(UserWarning, match="a priori"):
-        degree_by_enumeration(k2, m, radius=5.0)
+    with pytest.warns(UserWarning, match="a priori") as caught:
+        rep = degree_by_enumeration(k2, m, radius=5.0)
+    assert len(caught) == 1 and rep.perturbed is None
+
+
+def test_degree_small_radius_warns_once_with_perturbed_rerun(k2):
+    # lam = -4, f = -1 has a degenerate root, so the perturbed rerun runs too
+    m = ScalarModel(lam=-4.0, f=np.full(2, -1.0))
+    with pytest.warns(UserWarning, match="a priori") as caught:
+        rep = degree_by_enumeration(k2, m, radius=8.0, grid_n=21)
+    assert len(caught) == 1 and rep.perturbed is not None
 
 
 def test_degree_table_on_weighted_graph():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cshlab import (
+    OverflowGuardError,
     ScalarModel,
     SolveOptions,
     SolverError,
+    SystemModel,
     box_extremize,
     constant_solutions,
     enumerate_report,
@@ -19,6 +21,7 @@ from cshlab import (
     newton,
     residual,
     solve_scalar,
+    solve_system,
     subsolution_bounds,
     sup_norm,
 )
@@ -193,8 +196,38 @@ def test_newton_pseudo_inverse_path(k2):
 def test_newton_failure_raises(k2):
     # lam = 0 with nonzero-mean source: no root exists anywhere
     m = ScalarModel(lam=0.0, f=np.ones(2))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="line search stalled"):
         solve_scalar(k2, m, 0.0, SolveOptions(max_iter=40))
+
+
+def test_solver_failures_name_their_reason(k2):
+    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    with pytest.raises(SolverError, match="max_iter = 2 exceeded"):
+        solve_scalar(k2, m, 0.0, SolveOptions(max_iter=2))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    with pytest.raises(SolverError, match="max_iter = 3 exceeded"):
+        solve_system(k2, s, 0.0, 0.0, SolveOptions(max_iter=3))
+    # positive source means: the system has no root to converge to
+    with pytest.raises(SolverError, match="line search stalled"):
+        solve_system(k2, s, 0.0, 0.0)
+    # e^u (e^u - 1) overflows at the seed itself
+    with pytest.raises(SolverError, match="left the admissible range"):
+        solve_scalar(k2, ScalarModel(lam=1.0, f=np.zeros(2)), 699.0)
+
+
+@pytest.mark.parametrize("entry", ["newton", "solve_scalar", "solve_system"])
+def test_out_of_range_seed_rejected_by_every_entry_point(k2, entry):
+    seed = np.array([1.0, EXP_GUARD + 1.0])
+    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    calls = {
+        "newton": lambda: newton(lambda u: residual(k2, m, u), lambda u: jacobian(k2, m, u),
+                                 seed, mu=k2.mu),
+        "solve_scalar": lambda: solve_scalar(k2, m, seed),
+        "solve_system": lambda: solve_system(k2, s, np.zeros(2), seed),
+    }
+    with pytest.raises(OverflowGuardError):
+        calls[entry]()
 
 
 def test_newton_callback_check(k2):
@@ -254,12 +287,36 @@ def test_enumerate_refinement_superset(k2):
 
 def test_enumeration_report_metadata(k2):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    rep = enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=11)
+    with pytest.warns(UserWarning, match="a priori"):
+        rep = enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=11)
     assert rep.grid_levels == [11, 21]
     assert rep.stable
     assert rep.seeds_used > 0
     pts = [tuple(r.point) for r in rep.roots]
     assert pts == sorted(pts)
+
+
+def test_enumerate_box_warning_only_for_a_small_box(k2):
+    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    opts = SolveOptions(max_refinements=0)
+    radius = solve_mod._apriori_radius_or_none(k2, m)
+    with pytest.warns(UserWarning, match="a priori") as caught:
+        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5, opts=opts)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5, opts=opts, check_box=False)
+        enumerate_report(k2, m, box=(-radius, radius + 1.0), grid_n=5, opts=opts)
+        rep = enumerate_report(k2, m, grid_n=5, opts=opts)
+    assert rep.box[1].tolist() == [radius, radius]
+
+
+def test_enumerate_without_a_priori_bound_needs_a_box(k2):
+    with pytest.raises(ValueError, match="pass box"):
+        enumerate_report(k2, ScalarModel(lam=-10.0, f=np.array([1.0, -1.0])))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    with pytest.raises(ValueError, match="pass box"):
+        enumerate_report(k2, s)
 
 
 def test_enumerate_seed_cap(k2):
@@ -378,6 +435,114 @@ def test_dedup_points_chain_and_ties():
     pair = np.array([[0.0], [0.5]])
     assert _dedup_points(pair, np.zeros(2), 0.5) == [0]
     assert _dedup_points(np.empty((0, 3)), np.empty(0), tol) == []
+
+
+def _merge_levels_loop(levels, lo, hi, tol):
+    # the root-by-root merge enumerate_report used before, kept as the
+    # reference: each level's converged rows inside the box are deduplicated
+    # among themselves, then merged one by one into parallel known lists
+    known, known_norm, known_pseudo, known_iters = [], [], [], []
+    stable = False
+    for refinement, (X, nF, status, pseudo, iters) in enumerate(levels):
+        sel = ((status == solve_mod._CONVERGED) & np.all(X >= lo - tol, axis=1)
+               & np.all(X <= hi + tol, axis=1))
+        pts, pn, pp, pi = X[sel], nF[sel], pseudo[sel], iters[sel]
+        new_found = False
+        if len(pts):
+            for i in _dedup_points(pts, pn, tol):
+                p = pts[i]
+                dists = [np.abs(p - q).max() for q in known]
+                if known and min(dists) <= tol:
+                    j = int(np.argmin(dists))
+                    if pn[i] < known_norm[j]:
+                        known[j], known_norm[j] = p, float(pn[i])
+                        known_pseudo[j], known_iters[j] = bool(pp[i]), int(pi[i])
+                else:
+                    known.append(p)
+                    known_norm.append(float(pn[i]))
+                    known_pseudo.append(bool(pp[i]))
+                    known_iters.append(int(pi[i]))
+                    if refinement > 0:
+                        new_found = True
+        if refinement > 0 and not new_found:
+            stable = True
+            break
+    return list(zip(known, known_norm, known_pseudo, known_iters)), stable, refinement + 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumerate_merge_matches_root_by_root_loop(k2, monkeypatch, seed):
+    # enumerate_report sees scripted Newton outcomes per grid level: clusters
+    # of converged rows (each within 0.8 tol of its centre's other rows),
+    # re-found at later levels with a strictly lower residual, an exactly tied
+    # one or a higher one, plus stalled rows and converged rows outside the box
+    rng = np.random.default_rng(seed)
+    tol = SolveOptions().dedup_tol
+    lo, hi = -8.0, 3.0
+    grid = np.stack(np.meshgrid(np.arange(-6.0, 2.0), np.arange(-6.0, 2.0)), axis=-1)
+    centers = rng.permutation(grid.reshape(-1, 2))[:6]
+
+    def cluster(c, k):
+        return centers[c] + rng.uniform(-0.4 * tol, 0.4 * tol, size=(k, 2))
+
+    def level(parts, status=None):
+        X = np.vstack([p for p, _ in parts])
+        nF = np.concatenate([nf for _, nf in parts])
+        N = len(X)
+        st = np.full(N, solve_mod._CONVERGED, dtype=np.int8) if status is None else status
+        return X, nF, st, rng.random(N) < 0.3, rng.integers(1, 60, N).astype(np.int32)
+
+    def lattice(k, a, b):  # residual norms on a coarse lattice, so many tie
+        return rng.integers(a, b, k) * 1e-14
+
+    base = [(cluster(c, 5), lattice(5, 1, 4)) for c in range(4)]
+    outside = (np.array([[hi + 1.0, 0.0], [0.0, lo - 1.0]]), np.zeros(2))
+    stalled = (cluster(5, 3), np.zeros(3))
+    status0 = np.full(25, solve_mod._CONVERGED, dtype=np.int8)
+    status0[22:] = solve_mod._STALLED
+    level0 = level(base + [outside, stalled], status0)
+    tie_point = cluster(1, 1)
+    refound = [
+        (cluster(0, 1), np.zeros(1)),                     # strictly lower: replaces
+        (tie_point, np.array([base[1][1].min()])),        # exact tie: known stays
+        (cluster(2, 3), lattice(3, 5, 8)),                # higher: known stays
+        (cluster(3, 4), lattice(4, 0, 8)),
+    ]
+    grows = seed % 2 == 0
+    if grows:
+        refound.append((cluster(4, 2), lattice(2, 0, 3)))
+    # the last level re-finds cluster 1 only above its known residual, so the
+    # tie decided at level 1 shows in the result
+    levels = [level0, level(refound),
+              level([(cluster(c, 2), lattice(2, 4 if c == 1 else 0, 8)) for c in range(5)])]
+    expected, stable, used = _merge_levels_loop(levels, lo, hi, tol)
+    assert stable and used == (3 if grows else 2)
+
+    scripted = iter(levels)
+    monkeypatch.setattr(solve_mod, "_newton_batch", lambda problem, seeds, opts: next(scripted))
+    rep = enumerate_report(k2, ScalarModel(lam=-10.0, f=np.full(2, -1.0)), box=(lo, hi),
+                           grid_n=5, opts=SolveOptions(max_refinements=2), check_box=False)
+    assert rep.stable and len(rep.grid_levels) == used
+    expected.sort(key=lambda row: (tuple(np.rint(row[0] / tol).tolist()), tuple(row[0])))
+    assert len(rep.roots) == len(expected) == (5 if grows else 4)
+    for r, (p, norm, pseudo, iters) in zip(rep.roots, expected):
+        assert r.point.tobytes() == p.tobytes()
+        assert (r.residual_norm, r.pseudo_inverse_used, r.iterations) == (norm, pseudo, iters)
+    points = [r.point.tobytes() for r in rep.roots]
+    assert refound[0][0][0].tobytes() in points
+    assert tie_point[0].tobytes() not in points
+
+
+def test_critical_group_ranks_follow_morse_data(k2):
+    # lam = -4 carries a degenerate root (ranks unknown), lam = -10 does not
+    seen = set()
+    for lam in (-10.0, -4.0):
+        m = ScalarModel(lam=lam, f=np.full(2, -1.0))
+        for r in enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11, check_box=False):
+            md = morse_data(jacobian(k2, m, r.point), k2.mu)
+            assert r.critical_group_ranks == md.critical_group_ranks
+            seen.add(md.critical_group_ranks is None)
+    assert seen == {True, False}
 
 
 def _newton_batch_sequential(problem, seeds, opts, stats):
@@ -538,8 +703,7 @@ def test_root_order_ignores_rounding_level_ties():
 
     def root(point):
         return ClassifiedSolution(point=np.array(point), residual_norm=0.0, sign_det=1,
-                                  morse_index=0, nondegenerate=True,
-                                  critical_group_ranks=(1, 0, 0))
+                                  morse_index=0, nondegenerate=True)
 
     orders = set()
     for noise_a, noise_b in ((0.0, 1e-15), (1e-15, 0.0)):

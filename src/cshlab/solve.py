@@ -5,12 +5,15 @@ on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
 stays fast even with 10^5..10^6 seeds.  Each Newton step is one stacked linear
 solve; when a singular Jacobian makes it fail, the sign of the LU determinant
 picks out the singular rows, the rest are solved in one stacked call again and
-only the singular rows take a least-squares step.  The backtracking ladder
-1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ... step lengths, each block
-one stacked residual call over the rows still searching; every row accepts the
-first step length of the ladder that passes the Armijo test, as a one-at-a-time
-search would, and no block holds more trial rows than the full-step round.
-Row sup norms fold the short last axis column by column
+only the singular rows take a least-squares step: one ``lstsq`` call per
+distinct singular Jacobian, with the right-hand sides of the rows sharing it
+as columns (in the far field of the seeding box every singular Jacobian is the
+same -L).  Grid seeds are deduplicated by one stable lexicographic sort.  The
+backtracking ladder 1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ... step
+lengths, each block one stacked residual call over the rows still searching;
+every row accepts the first step length of the ladder that passes the Armijo
+test, as a one-at-a-time search would, and no block holds more trial rows than
+the full-step round.  Row sup norms fold the short last axis column by column
 (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges its converged rows
 into the known roots with one greedy sup-norm dedup pass over both (known rows
 first, so a re-found root replaces a known one only with a strictly lower
@@ -19,8 +22,8 @@ Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
 ``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path:
-a seed outside the exp guard is rejected, and a failed run raises
-:class:`~cshlab.errors.SolverError` naming its reason (the line search
+a non-finite seed or one outside the exp guard is rejected, and a failed run
+raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
 stalled, the iterate left the admissible range, or max_iter was exceeded).
 
 Completeness of enumeration is empirical, never certified: a grid whose
@@ -100,6 +103,19 @@ class SolveOptions:
             raise ValueError("tol_residual must be positive")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
+        if not 0.0 < self.armijo < 1.0:
+            raise ValueError("armijo must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be non-negative")
+        if self.polish_steps < 0:
+            raise ValueError("polish_steps must be non-negative")
+        if self.seed_cap < 1:
+            raise ValueError("seed_cap must be at least 1")
+        lo, hi = self.core_window
+        if not lo < hi:
+            raise ValueError("core_window must be (lo, hi) with lo < hi")
         if self.dedup_tol <= 10.0 * self.tol_residual:
             warnings.warn(
                 "dedup_tol is within a decade of tol_residual; "
@@ -125,6 +141,10 @@ class ClassifiedSolution:
     root: (-1)**morse_index when nondegenerate, else 0.  For a nondegenerate
     index-m point the critical groups have rank one in dimension m and zero
     elsewhere; strict extrema are the m = 0 and m = n cases.
+    ``pseudo_inverse_used`` is set when some Newton step on the way took a
+    least-squares step, which happens only where the LU factorization of the
+    Jacobian met an exactly zero pivot; a near-singular Jacobian whose pivot
+    rounds to a tiny nonzero value takes the ordinary solve and is not flagged.
     """
 
     point: np.ndarray
@@ -247,6 +267,20 @@ def _norms(F: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(nF), nF, np.inf)
 
 
+def _equal_row_runs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic row order of a 2-D array and its runs of equal rows.
+
+    Returns ``(order, starts)``: ``A[order]`` is sorted, and its k-th run of
+    equal rows is ``A[order[starts[k]:starts[k + 1]]]``; ``starts`` ends with
+    ``len(A)``.  Within a run, rows keep their input order.
+    """
+    order = np.lexsort(A.T[::-1])
+    s = A[order]
+    new = np.ones(len(A), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return order, np.append(np.flatnonzero(new), len(A))
+
+
 def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.ndarray):
     """Stacked solve of J step = -F, with least squares for singular rows only.
 
@@ -254,8 +288,15 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
     flagged in ``bad``.  The finite rows go to one stacked ``np.linalg.solve``.
     If a singular row makes it raise, one batched ``slogdet`` marks the rows
     whose LU has a zero pivot (sign 0: the same ``getrf`` factorization that
-    makes ``solve`` reject a row), the other rows are solved in one stacked
-    call and each singular row takes a ``lstsq`` step with ``pseudo`` set.
+    makes ``solve`` reject a row) and the other rows are solved in one stacked
+    call.  The singular rows take a least-squares step with ``pseudo`` set:
+    rows whose Jacobians are equal byte for byte (so -0.0 and 0.0 differ)
+    share one ``lstsq`` call, their right-hand sides stacked as its columns.
+    In the far field every singular Jacobian is the same -L, so one call
+    serves thousands of rows.  With OpenBLAS 0.3.31 each column equals a
+    one-column call bit for bit for Jacobians up to 7x7; from 8x8 on, random
+    right-hand sides were seen to differ in the last bits (below 1e-14
+    relative).
     """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
@@ -273,9 +314,13 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
             regular = ~singular
             if regular.any():
                 steps[idx[regular]] = np.linalg.solve(J[regular], rhs[regular])[..., 0]
-            for k in np.nonzero(singular)[0]:
-                steps[idx[k]] = np.linalg.lstsq(J[k], rhs[k, :, 0], rcond=None)[0]
-            pseudo[idx[singular]] = True
+            sing = np.flatnonzero(singular)
+            # the int64 view groups rows on the bytes of their Jacobians
+            order, starts = _equal_row_runs(J[sing].reshape(sing.size, -1).view(np.int64))
+            for a, b in zip(starts[:-1], starts[1:]):
+                rows = sing[order[a:b]]
+                steps[idx[rows]] = np.linalg.lstsq(J[rows[0]], rhs[rows, :, 0].T, rcond=None)[0].T
+            pseudo[idx[sing]] = True
     bad = ~np.isfinite(sup_norm(steps))
     steps[bad] = 0.0
     return steps, bad
@@ -403,11 +448,14 @@ _FAILURE_REASONS = {
 def _solve_one(problem: _Problem, seed: np.ndarray, opts: SolveOptions) -> ClassifiedSolution:
     """Damped Newton from one seed, the path behind every single-seed entry point.
 
-    A seed outside the exp guard raises ``OverflowGuardError``.  With
+    A seed with a NaN or infinite entry raises ``ValueError``; a finite seed
+    outside the exp guard raises ``OverflowGuardError``.  With
     ``opts.check_callbacks`` the Jacobian is first verified against central
     differences at the seed.  A run that does not converge raises
     :class:`SolverError` naming why (stalled, diverged or max_iter exceeded).
     """
+    if not np.all(np.isfinite(seed)):
+        raise ValueError(f"seed must be finite, got {seed}")
     _check_range(seed)
     if opts.check_callbacks:
         _verify_jacobian(lambda x: problem.residual(x[None])[0],
@@ -571,7 +619,9 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
     if not parts:
         return np.empty((0, n))
     seeds = np.vstack(parts)
-    return np.unique(seeds, axis=0)
+    # the rows of np.unique(seeds, axis=0), without its slow structured sort
+    order, starts = _equal_row_runs(seeds)
+    return seeds[order[starts[:-1]]]
 
 
 def _dedup_points(points: np.ndarray, norms: np.ndarray, tol: float) -> list[int]:

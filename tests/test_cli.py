@@ -86,7 +86,8 @@ def test_enumerate_emits_roots_and_summary(tmp_path, k2_path, capsys):
         "source": {"f": {"constant": -1.0}},
         "enumerate": {"box": [-8.0, 3.0], "grid": 21},
     })
-    code, records = _run(["enumerate", "--graph", k2_path, "--config", cfg], capsys)
+    with pytest.warns(UserWarning, match="a priori"):
+        code, records = _run(["enumerate", "--graph", k2_path, "--config", cfg], capsys)
     assert code == 0
     roots = [r for r in records if r["kind"] == "root"]
     summary = [r for r in records if r["kind"] == "enumeration_summary"]
@@ -141,6 +142,17 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     })
     assert main(["degree", "--graph", k2_path, "--config", cfg3]) == 2
     capsys.readouterr()
+    # tolerances that would silently skip every grid level
+    cfg4 = _write_config(tmp_path, {
+        "model": "scalar",
+        "parameters": {"lambda": -10.0},
+        "source": {"f": {"constant": 1.0}},
+        "tolerances": {"max_refinements": -1},
+    })
+    assert main(["degree", "--graph", k2_path, "--config", cfg4]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad tolerances: max_refinements must be non-negative" in captured.err
 
 
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):
@@ -196,7 +208,8 @@ def test_output_deterministic_for_fixed_seed(tmp_path, k2_path, capsys):
     })
     outs = []
     for _ in range(2):
-        code = main(["degree", "--graph", k2_path, "--config", cfg, "--seed", "7"])
+        with pytest.warns(UserWarning, match="a priori"):
+            code = main(["degree", "--graph", k2_path, "--config", cfg, "--seed", "7"])
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]

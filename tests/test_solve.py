@@ -11,8 +11,11 @@ from cshlab import (
     SolveOptions,
     SolverError,
     SystemModel,
+    apriori_radius,
     box_extremize,
+    complete_graph,
     constant_solutions,
+    cycle_graph,
     enumerate_report,
     enumerate_solutions,
     extremize_scalar_in_box,
@@ -46,6 +49,15 @@ def test_options_validation():
         SolveOptions(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolveOptions(damping=1.0)
+    # values under which an enumeration returned a wrong degree without an error
+    bad = [("max_iter", 0), ("max_iter", -3), ("max_refinements", -1), ("polish_steps", -1),
+           ("armijo", 0.0), ("armijo", 1.0), ("armijo", 2.0), ("armijo", float("nan")),
+           ("seed_cap", 0), ("core_window", (4.0, 4.0)), ("core_window", (4.0, -12.0))]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+    SolveOptions(max_iter=1, max_refinements=0, polish_steps=0, armijo=0.5, seed_cap=1,
+                 core_window=(-1.0, 1.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SolveOptions(dedup_tol=1e-12)
@@ -230,6 +242,23 @@ def test_out_of_range_seed_rejected_by_every_entry_point(k2, entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry", ["newton", "solve_scalar", "solve_system"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_seed_rejected_by_every_entry_point(k2, entry, bad):
+    seed = np.array([bad, 0.0])
+    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    calls = {
+        "newton": lambda: newton(lambda u: residual(k2, m, u), lambda u: jacobian(k2, m, u),
+                                 seed, mu=k2.mu),
+        "solve_scalar": lambda: solve_scalar(k2, m, seed),
+        "solve_system": lambda: solve_system(k2, s, np.zeros(2), seed),
+    }
+    with pytest.raises(ValueError, match="seed must be finite") as info:
+        calls[entry]()
+    assert type(info.value) is ValueError
+
+
 def test_newton_callback_check(k2):
     m = ScalarModel(lam=2.0, f=np.zeros(2))
     with pytest.raises(ValueError, match="finite differences"):
@@ -251,7 +280,8 @@ def test_enumerate_unique_root(k2):
 
 def test_enumerate_k2_multiplicity(k2):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    roots = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21)
+    with pytest.warns(UserWarning, match="a priori"):
+        roots = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21)
     consts = constant_solutions(m)
     assert len(roots) >= 2
     for c in consts:
@@ -268,7 +298,8 @@ def test_enumerate_k2_multiplicity(k2):
 def test_enumerate_deeper_negative_coupling(k2):
     # three-plus distinct roots appear for strongly negative coupling
     m = ScalarModel(lam=-60.0, f=np.full(2, -1.0))
-    roots = enumerate_solutions(k2, m, box=(-9.0, 3.0), grid_n=31)
+    with pytest.warns(UserWarning, match="a priori"):
+        roots = enumerate_solutions(k2, m, box=(-9.0, 3.0), grid_n=31)
     assert len(roots) >= 3
     for a in roots:
         for b in roots:
@@ -279,8 +310,9 @@ def test_enumerate_deeper_negative_coupling(k2):
 def test_enumerate_refinement_superset(k2):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     opts = SolveOptions(max_refinements=0)
-    coarse = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11, opts=opts)
-    fine = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21, opts=opts)
+    with pytest.warns(UserWarning, match="a priori"):
+        coarse = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11, opts=opts)
+        fine = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21, opts=opts)
     for r in coarse:
         assert any(np.abs(r.point - s.point).max() <= 1e-6 for s in fine)
 
@@ -394,6 +426,104 @@ def test_newton_steps_all_singular_stack(k2):
     assert pseudo.all() and not bad.any()
     for k in range(3):
         assert steps[k].tobytes() == np.linalg.lstsq(J[k], -F[k], rcond=None)[0].tobytes()
+
+
+def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
+    # P3's -Laplacian: copies of it, of twice it, and of a copy whose zero
+    # corner is -0.0 (equal values, other bytes), among regular and
+    # non-finite rows
+    negL = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+    signed_zero = negL.copy()
+    signed_zero[0, 2] = -0.0
+    mats = {"negL": negL, "twice": 2.0 * negL, "signed_zero": signed_zero,
+            "nonfinite": np.array([[np.nan, 1.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]])}
+    kinds = ["negL", "regular", "twice", "negL", "nonfinite", "signed_zero", "negL",
+             "regular", "twice", "signed_zero", "negL", "nonfinite", "regular"]
+    rng = np.random.default_rng(11)
+    J = np.stack([mats[k] if k in mats else rng.normal(size=(3, 3)) + 4.0 * np.eye(3)
+                  for k in kinds])
+    F = rng.normal(size=(len(kinds), 3)) * 10.0 ** rng.integers(-8, 4, size=(len(kinds), 1))
+
+    real_lstsq = np.linalg.lstsq
+    calls = []
+
+    def spy(a, b, rcond=None):
+        calls.append((np.array(a), np.array(b)))
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    pseudo = np.zeros(len(kinds), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
+
+    kinds = np.array(kinds)
+    singular = np.isin(kinds, ["negL", "twice", "signed_zero"])
+    np.testing.assert_array_equal(pseudo, singular)
+    np.testing.assert_array_equal(bad, kinds == "nonfinite")
+    # one call per distinct matrix, its columns the right-hand sides of its rows
+    assert sorted(a.tobytes() for a, _ in calls) == sorted(
+        mats[k].tobytes() for k in ("negL", "twice", "signed_zero"))
+    for a, b in calls:
+        rows = [k for k in range(len(kinds)) if singular[k] and J[k].tobytes() == a.tobytes()]
+        assert b.shape == (3, len(rows))
+    for k, kind in enumerate(kinds):
+        if kind == "regular":
+            expected = np.linalg.solve(J[k], -F[k])
+        elif kind == "nonfinite":
+            expected = np.zeros(3)
+        else:
+            expected = real_lstsq(J[k], -F[k], rcond=None)[0]
+        assert steps[k].tobytes() == expected.tobytes(), (k, kind)
+
+
+def _seed_sets_of(g, m, monkeypatch):
+    """The stacks handed to the seed dedup at the base and first refinement level."""
+    stacks = []
+    real = solve_mod._equal_row_runs
+
+    def record(A):
+        stacks.append(A.copy())
+        return real(A)
+
+    monkeypatch.setattr(solve_mod, "_equal_row_runs", record)
+    problem = solve_mod._make_problem(g, m)
+    radius = apriori_radius(g, m).radius
+    lo, hi = np.full(g.ell, -radius), np.full(g.ell, radius)
+    opts = SolveOptions()
+    level = solve_mod.default_grid_n(g.ell)
+    outs = [solve_mod._seed_set(problem, lo, hi, level, opts, [])]
+    known = outs[0][:: max(1, len(outs[0]) // 40)]  # stands in for the known roots
+    outs.append(solve_mod._seed_set(problem, lo, hi, 2 * level - 1, opts, [known],
+                                    include_box_net=False))
+    return stacks, outs
+
+
+@pytest.mark.parametrize("graph", ["C4", "K5"])
+def test_seed_dedup_matches_np_unique(graph, monkeypatch):
+    g = cycle_graph(4) if graph == "C4" else complete_graph(5)
+    m = ScalarModel(lam=-10.0, f=np.ones(g.ell))
+    stacks, outs = _seed_sets_of(g, m, monkeypatch)
+    assert len(stacks) == 2
+    for stack, out in zip(stacks, outs):
+        assert len(out) < len(stack)  # the diagonal and known rows repeat grid rows
+        expected = np.unique(stack, axis=0)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
+def test_seed_dedup_matches_np_unique_on_repeated_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-3, 4, size=(400, 3)) * 0.5
+    rows = np.vstack([rows, rows[::7], rng.normal(size=(50, 3)), rows[:3]])
+    order, starts = solve_mod._equal_row_runs(rows)
+    out = rows[order[starts[:-1]]]
+    expected = np.unique(rows, axis=0)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+    # each run holds equal rows, in input order
+    for a, b in zip(starts[:-1], starts[1:]):
+        run = order[a:b]
+        assert np.all(np.diff(run) > 0)
+        assert np.all(rows[run] == rows[run[0]])
 
 
 def _dedup_points_loop(points, norms, tol):

@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .scalar import ScalarModel, residual
 from .solve import ClassifiedSolution, SolveOptions, enumerate_report, solve_scalar, solve_system
-from .system import SystemModel, apriori_bound_system
+from .system import SystemBound, SystemModel, apriori_bound_system
 
 __all__ = ["main"]
 
@@ -227,7 +227,7 @@ def cmd_degree(g, model, cfg, opts, emit) -> int:
     section = cfg.get("degree", {})
     radius = section.get("radius")
     if radius is None and isinstance(model, SystemModel):
-        radius = _system_radius(g, model, cfg)
+        radius = _system_bound(g, model, cfg.get("system", section)).bound
     report = degree_by_enumeration(g, model, radius=radius, opts=opts, grid_n=section.get("grid"))
     emit.emit(_degree_record(g, model, report))
     return 0
@@ -251,13 +251,14 @@ def _degree_record(g, model, report) -> dict:
     return rec
 
 
-def _system_radius(g, model, cfg) -> float:
-    section = cfg.get("system", cfg.get("degree", {}))
+def _system_bound(g, model, section: dict) -> SystemBound:
+    """The system's a priori bound from the section's ``Lambda1``/``Lambda2``."""
     lam1 = section.get("Lambda1")
     lam2 = section.get("Lambda2")
     if lam1 is None or lam2 is None:
-        raise ConfigError("system degree needs 'radius' or 'Lambda1'/'Lambda2' to derive one")
-    return apriori_bound_system(g, model, float(lam1), float(lam2)).bound
+        raise ConfigError("the system bound needs 'Lambda1' and 'Lambda2' "
+                          "(the degree command also takes a 'radius' instead)")
+    return apriori_bound_system(g, model, float(lam1), float(lam2))
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:
@@ -292,11 +293,7 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
     section = cfg.get("system", {})
-    lam1 = section.get("Lambda1")
-    lam2 = section.get("Lambda2")
-    if lam1 is None or lam2 is None:
-        raise ConfigError("system command needs 'Lambda1' and 'Lambda2'")
-    bound = apriori_bound_system(g, model, float(lam1), float(lam2))
+    bound = _system_bound(g, model, section)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})
     sigma_grid = [float(s) for s in section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0])]
     audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts, grid_n=section.get("grid"))

@@ -28,10 +28,10 @@ from .solve import (
     SolveOptions,
     _apriori_radius_or_none,
     _dedup_points,
+    _make_problem,
+    _solve_one,
     _sort_roots,
     enumerate_solutions,
-    solve_scalar,
-    solve_system,
 )
 from .system import SystemModel
 
@@ -302,11 +302,7 @@ def _dedup_solutions(sols: list[ClassifiedSolution], tol: float) -> list[Classif
 
 
 def _polish(g, model, point, opts: SolveOptions) -> ClassifiedSolution | None:
-    point = np.asarray(point, dtype=float)
     try:
-        if isinstance(model, SystemModel):
-            half = len(point) // 2
-            return solve_system(g, model, point[:half], point[half:], opts)
-        return solve_scalar(g, model, point, opts)
+        return _solve_one(_make_problem(g, model), np.asarray(point, dtype=float), opts)
     except SolverError:
         return None

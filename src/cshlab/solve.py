@@ -21,7 +21,8 @@ residual).  Roots are classified through the eigenvalues of the energy
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
-``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path:
+``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path,
+and ``box_extremize`` polishes its interior extremizers through ``newton``:
 a non-finite seed or one outside the exp guard is rejected, and a failed run
 raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
 stalled, the iterate left the admissible range, or max_iter was exceeded).
@@ -33,6 +34,7 @@ carry the grid parameters used.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,6 +81,9 @@ __all__ = [
 # seeding outside the window only duplicates basins already covered.
 _SEED_WINDOW = 45.0
 
+# Cap on the constant seeds along the diagonal (16 * grid_n + 1 below it).
+_DIAG_SEEDS = 801
+
 
 @dataclass
 class SolveOptions:
@@ -89,18 +94,18 @@ class SolveOptions:
     damping: float = 0.5
     armijo: float = 1e-4
     dedup_tol: float = 1e-6
-    grid_n: int | None = None
     seed_cap: int = 10_000_000
     max_refinements: int = 1
     core_window: tuple[float, float] = (-12.0, 4.0)
-    diag_seeds: int = 801
     polish_steps: int = 6
     rng_seed: int = 0
     check_callbacks: bool = False
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0:
-            raise ValueError("tol_residual must be positive")
+        for name in ("tol_residual", "dedup_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
         if not 0.0 < self.armijo < 1.0:
@@ -503,15 +508,20 @@ def newton(
     return _solve_one(problem, seed, opts or SolveOptions())
 
 
-def _verify_jacobian(res, jac, x: np.ndarray, h: float = 1e-6, tol: float = 1e-4) -> None:
-    J = np.asarray(jac(x), dtype=float)
+def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of ``fn`` at ``x``, one column per coordinate."""
     n = len(x)
-    fd = np.empty_like(J)
+    cols = []
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        diff = np.asarray(res(x + e), dtype=float) - np.asarray(res(x - e), dtype=float)
-        fd[:, k] = diff / (2.0 * h)
+        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def _verify_jacobian(res, jac, x: np.ndarray, tol: float = 1e-4) -> None:
+    J = np.asarray(jac(x), dtype=float)
+    fd = _fd_jacobian(res, x)
     if not np.allclose(J, fd, rtol=tol, atol=tol * (1.0 + np.abs(J).max())):
         raise ValueError("jacobian callback disagrees with finite differences of residual")
 
@@ -595,7 +605,7 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
     # constant functions seed cheaply along the diagonal(s)
     c_lo, c_hi = float(lo.max()), float(hi.min())
     if c_hi > c_lo:
-        cs = np.linspace(c_lo, c_hi, min(opts.diag_seeds, 16 * grid_n + 1))
+        cs = np.linspace(c_lo, c_hi, min(_DIAG_SEEDS, 16 * grid_n + 1))
         if problem.pair:
             half = n // 2
             m1d = min(2 * grid_n + 1, 61)
@@ -686,7 +696,7 @@ def enumerate_report(
                 "roots outside the box will be missed",
                 stacklevel=2,
             )
-    level = grid_n if grid_n is not None else (opts.grid_n or default_grid_n(problem.n, problem.pair))
+    level = grid_n if grid_n is not None else default_grid_n(problem.n, problem.pair)
     if level < 2:
         raise ValueError("grid_n must be at least 2")
 
@@ -812,6 +822,15 @@ def box_extremize(
     the ordinary partial derivatives).  ``mode`` is "min" or "max".  Runs
     multi-start L-BFGS-B, then either reports the boundary contact or Newton-
     polishes the interior extremizer and certifies its type.
+
+    The polish is :func:`newton` on ``gradient`` with ``hessian`` as its
+    Jacobian (central differences of ``gradient`` when omitted), under
+    ``opts``: the extremizer must lie inside the exp guard [-700, 700], the
+    Hessian must be symmetric at the root, and with ``opts.check_callbacks``
+    ``hessian`` is checked against differences of ``gradient`` first
+    (``ValueError`` on any of these).  ``solution`` is the classified root
+    ``newton`` returns (unit vertex measure).  A polish that fails, or that
+    ends on or outside the box, raises :class:`SolverError`.
     """
     opts = opts or SolveOptions()
     lower = np.asarray(lower, dtype=float)
@@ -865,22 +884,16 @@ def box_extremize(
         )
 
     hess = hessian or (lambda z: _fd_jacobian(gradient, z))
-    x = _polish_gradient_root(gradient, hess, x, lower, upper, opts)
-    H = np.asarray(hess(x), dtype=float)
-    md = morse_data(0.5 * (H + H.T))
-    if md.nondegenerate and md.morse_index == 0 and mode == "min":
+    solution = newton(gradient, hess, x, opts)
+    x = solution.point
+    if not (np.all(x > lower) and np.all(x < upper)):
+        raise SolverError("interior extremizer polish left the box")
+    if solution.nondegenerate and solution.morse_index == 0 and mode == "min":
         certificate = "strict-min"
-    elif md.nondegenerate and md.morse_index == n and mode == "max":
+    elif solution.nondegenerate and solution.morse_index == n and mode == "max":
         certificate = "strict-max"
     else:
         certificate = "degenerate"
-    solution = ClassifiedSolution(
-        point=x,
-        residual_norm=float(sup_norm(np.asarray(gradient(x), dtype=float))),
-        sign_det=md.sign_det,
-        morse_index=md.morse_index,
-        nondegenerate=md.nondegenerate,
-    )
     return BoxExtremum(
         point=x,
         value=float(energy(x)),
@@ -889,43 +902,6 @@ def box_extremize(
         solution=solution,
         certificate=certificate,
     )
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    n = len(x)
-    cols = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=1)
-
-
-def _polish_gradient_root(gradient, hessian, x, lower, upper, opts: SolveOptions) -> np.ndarray:
-    """Newton on the gradient, constrained to stay strictly inside the box."""
-    gx = np.asarray(gradient(x), dtype=float)
-    for _ in range(60):
-        if sup_norm(gx) <= opts.tol_residual:
-            return x
-        H = np.asarray(hessian(x), dtype=float)
-        try:
-            step = np.linalg.solve(H, -gx)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, -gx, rcond=None)[0]
-        t = 1.0
-        while t > 1e-12:
-            xn = x + t * step
-            if np.all(xn > lower) and np.all(xn < upper):
-                gn = np.asarray(gradient(xn), dtype=float)
-                if sup_norm(gn) < sup_norm(gx):
-                    x, gx = xn, gn
-                    break
-            t *= opts.damping
-        else:
-            break
-    if sup_norm(gx) > opts.tol_residual:
-        raise SolverError("interior extremizer polish failed to reach gradient tolerance")
-    return x
 
 
 def extremize_scalar_in_box(

@@ -98,13 +98,13 @@ def test_sigma_homotopy_tracks_log_sigma(k2):
 
 def test_sigma_homotopy_polish_uses_caller_options(k2, monkeypatch):
     seen = []
-    real = continuation.solve_scalar
+    real = continuation._solve_one
 
-    def spy(g, m, seed, opts=None):
+    def spy(problem, seed, opts):
         seen.append(opts)
-        return real(g, m, seed, opts)
+        return real(problem, seed, opts)
 
-    monkeypatch.setattr(continuation, "solve_scalar", spy)
+    monkeypatch.setattr(continuation, "_solve_one", spy)
     m = ScalarModel(lam=1.0, f=np.zeros(2))
     opts = SolveOptions(tol_residual=1e-10, max_iter=50)
     records = sigma_homotopy(k2, m, [1.0, 0.5, 0.25], opts=opts, seeds=[np.zeros(2)])

@@ -52,7 +52,10 @@ def test_options_validation():
     # values under which an enumeration returned a wrong degree without an error
     bad = [("max_iter", 0), ("max_iter", -3), ("max_refinements", -1), ("polish_steps", -1),
            ("armijo", 0.0), ("armijo", 1.0), ("armijo", 2.0), ("armijo", float("nan")),
-           ("seed_cap", 0), ("core_window", (4.0, 4.0)), ("core_window", (4.0, -12.0))]
+           ("seed_cap", 0), ("core_window", (4.0, 4.0)), ("core_window", (4.0, -12.0)),
+           ("tol_residual", float("nan")), ("tol_residual", float("inf")),
+           ("dedup_tol", 0.0), ("dedup_tol", -1.0), ("dedup_tol", float("nan")),
+           ("dedup_tol", float("inf"))]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
@@ -158,6 +161,31 @@ def test_box_extremize_default_fd_hessian():
     out = box_extremize(energy, grad, -np.ones(3), np.ones(3), mode="min")
     assert out.interior and out.certificate == "strict-min"
     assert np.allclose(out.point, target, atol=1e-10)
+
+
+def test_box_extremize_polishes_through_newton(monkeypatch):
+    target = np.array([0.3, -0.2, 0.1])
+    energy = lambda x: float(np.sum(np.cosh(3.0 * (x - target))))
+    grad = lambda x: 3.0 * np.sinh(3.0 * (x - target))
+    hess = lambda x: np.diag(9.0 * np.cosh(3.0 * (x - target)))
+    # the caller's check_callbacks reaches the polish: a wrong Hessian is caught
+    with pytest.raises(ValueError, match="finite differences"):
+        box_extremize(energy, grad, -np.ones(3), np.ones(3), opts=SolveOptions(check_callbacks=True),
+                      hessian=lambda x: -hess(x))
+    calls = []
+    real = solve_mod.newton
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solve_mod, "newton", spy)
+    out = box_extremize(energy, grad, -np.ones(3), np.ones(3), hessian=hess)
+    assert len(calls) == 1
+    again = real(*calls[0])
+    assert again.iterations > 0
+    assert (out.solution.iterations, out.solution.residual_norm) == (again.iterations, again.residual_norm)
+    assert out.certificate == "strict-min" and out.solution.morse_index == 0
 
 
 def test_gauged_energy_max_route_yields_solution(k2):

@@ -98,7 +98,7 @@ def _build_model(g: WeightedGraph, cfg: dict):
             return ScalarModel(
                 lam=float(params.get("lambda", 1.0)),
                 f=_source_values(g, source.get("f"), "f"),
-                p=int(params.get("p", 1)),
+                p=params.get("p", 1),
                 sigma=float(params.get("sigma", 1.0)),
             )
         if kind == "system":
@@ -109,7 +109,7 @@ def _build_model(g: WeightedGraph, cfg: dict):
                 g=_source_values(g, source.get("g"), "g"),
                 sigma=float(params.get("sigma", 1.0)),
             )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a null or list parameter
         raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -268,7 +268,7 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
     if "range" not in section:
         raise ConfigError("sweep needs a 'range': [lambda_from, lambda_to]")
     lo, hi = (float(x) for x in section["range"])
-    steps = int(section.get("steps", 11))
+    steps = section.get("steps", 11)
     box = tuple(section["box"]) if "box" in section else None
     records = sweep_lambda(
         g, model.f, (lo, hi), steps, opts=opts,

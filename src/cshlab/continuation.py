@@ -109,10 +109,14 @@ def sweep_lambda(
     purposes); a range straddling 0 is simply sampled on both sides with the
     zero sample dropped.  Events mark Morse-type counts changing between
     consecutive grid points, and one midpoint sample is inserted next to each
-    event to halve the localization interval.
+    event to halve the localization interval.  ``steps`` must be a positive
+    integer (``ValueError`` otherwise; 11.7 is not rounded down).
     """
+    if int(steps) != steps or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     opts = opts or SolveOptions()
-    values = [lam for lam in np.linspace(lambda_range[0], lambda_range[1], steps) if lam != 0.0]
+    values = [lam for lam in np.linspace(lambda_range[0], lambda_range[1], int(steps))
+              if lam != 0.0]
     records: list[BranchRecord] = []
     warm: list[ClassifiedSolution] = []
     for lam in values:

@@ -65,7 +65,7 @@ class ScalarModel:
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p}")
+            raise ValueError(f"p must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", int(self.p))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
@@ -122,9 +122,15 @@ def _check_range(*arrays: np.ndarray) -> None:
 
 
 def _ipow(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k for integer k >= 0 by repeated multiplication (sign-exact)."""
-    out = np.ones_like(x)
-    for _ in range(k):
+    """x**k for integer k >= 0 by repeated multiplication (sign-exact).
+
+    For k >= 1 the product starts from ``x`` itself (``1.0 * x == x`` bit for
+    bit, also for -0.0, inf and NaN); ``_ipow(x, 1)`` is ``x``, not a copy.
+    """
+    if k < 1:
+        return np.ones_like(x)
+    out = x
+    for _ in range(k - 1):
         out = out * x
     return out
 

@@ -2,13 +2,16 @@
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
 on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
-stays fast even with 10^5..10^6 seeds.  Each Newton step is one stacked linear
-solve; when a singular Jacobian makes it fail, the sign of the LU determinant
-picks out the singular rows, the rest are solved in one stacked call again and
-only the singular rows take a least-squares step: one ``lstsq`` call per
-distinct singular Jacobian, with the right-hand sides of the rows sharing it
-as columns (in the far field of the seeding box every singular Jacobian is the
-same -L).  Grid seeds are deduplicated by one stable lexicographic sort.  The
+stays fast even with 10^5..10^6 seeds.  A batch runs in near-equal chunks of
+at most 2**18 Jacobian entries (2 MiB of float64) each, one chunk after the
+other, so memory grows with the seed count as O(seeds n), not O(seeds n^2).
+Each Newton step is one stacked linear solve per chunk; when a singular
+Jacobian makes it fail, the sign of the LU determinant picks out the singular
+rows, the rest are solved in one stacked call again and only the singular
+rows take a least-squares step: one ``lstsq`` call per distinct singular
+Jacobian, with the right-hand sides of the rows sharing it as columns (in
+the far field of the seeding box every singular Jacobian is the same -L).
+Grid seeds are deduplicated by one stable lexicographic sort.  The
 backtracking ladder 1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ... step
 lengths, each block one stacked residual call over the rows still searching;
 every row accepts the first step length of the ladder that passes the Armijo
@@ -334,16 +337,37 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
 # row status codes
 _RUNNING, _CONVERGED, _STALLED, _DIVERGED, _EXHAUSTED = 0, 1, 2, 3, 4
 
+# Jacobian entries per Newton chunk: 2**18 float64 entries are 2 MiB, e.g.
+# 16,384 rows at n = 4.  Each chunk runs as many rounds as its slowest row,
+# so small chunks repeat the per-round overhead: of 2**14, 2**16, 2**18,
+# 2**20 and one stack, 2**18 gave the fastest C4 and K5 degree runs and
+# 2**14 the slowest (about 40 % slower than one stack).
+_CHUNK_ENTRIES = 2 ** 18
+
 
 def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
-    """Damped Newton on every seed row at once.
+    """Damped Newton on every seed row, in stacks of a bounded size.
 
-    Returns ``(X, res_norm, status, pseudo, iters)`` arrays; rows with status
-    ``_CONVERGED`` hold polished roots with residual below ``tol_residual``.
+    Returns ``(X, res_norm, status, pseudo, iters)`` arrays in seed order;
+    rows with status ``_CONVERGED`` hold polished roots with residual below
+    ``tol_residual``.  The seeds run in ``ceil(N / rows)`` near-equal chunks
+    of at most ``rows = _CHUNK_ENTRIES // n**2`` rows each, one after the
+    other, so the (rows, n, n) Jacobian stack and its copies stay within a
+    fixed budget and memory grows as O(N n), not O(N n^2).  A row's outcome
+    does not depend on the other rows of its chunk, except through the last
+    bits of the residual's matrix product and of a grouped ``lstsq`` call.
     """
     X = np.array(seeds, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
+    rows = max(1, _CHUNK_ENTRIES // X.shape[1] ** 2)
+    chunks = np.array_split(X, max(1, -(-len(X) // rows)))
+    outs = [_newton_chunk(problem, chunk, opts) for chunk in chunks]
+    return tuple(np.concatenate(a) for a in zip(*outs))
+
+
+def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
+    """Damped Newton on every row of ``X`` at once, updating ``X`` in place."""
     N = len(X)
     F = _residual_rows(problem, X)
     nF = _norms(F)

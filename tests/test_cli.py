@@ -153,6 +153,26 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad tolerances: max_refinements must be non-negative" in captured.err
+    # a fractional, null or string power or a fractional sweep step count is
+    # rejected, not rounded down or converted
+    for p, message in ((1.5, "got 1.5"), (None, "NoneType"), ("2", "got '2'")):
+        cfg5 = _write_config(tmp_path, {
+            "model": "scalar",
+            "parameters": {"lambda": -10.0, "p": p},
+            "source": {"f": {"constant": 1.0}},
+        })
+        assert main(["solve", "--graph", k2_path, "--config", cfg5]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    cfg6 = _write_config(tmp_path, {
+        "model": "scalar",
+        "parameters": {"lambda": -3.0},
+        "source": {"f": {"constant": -1.0}},
+        "sweep": {"range": [-3.0, -5.0], "steps": 11.7, "box": [-6.0, 2.0]},
+    })
+    assert main(["sweep", "--graph", k2_path, "--config", cfg6]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps must be a positive integer, got 11.7" in captured.err
 
 
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):

@@ -17,6 +17,7 @@ from cshlab import (
     sup_norm,
 )
 from cshlab.checks import check_gauge_identity, check_scalar_consistency
+from cshlab.scalar import _ipow
 
 
 def test_model_validation(k2):
@@ -58,6 +59,27 @@ def test_residual_overflow_guard(k2):
         energy(k2, m, np.array([-701.0, 0.0]))
     with pytest.raises(OverflowGuardError):
         jacobian(k2, m, np.array([0.0, -701.0]))
+
+
+def _ipow_loop(x, k):
+    # the original product, started from ones; kept as the reference
+    out = np.ones_like(x)
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def test_ipow_matches_loop_from_ones_bitwise():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -1.0, -0.5, 1e-300, -1e200, 2.0, -3.0]
+    negative = -np.abs(rng.normal(size=20)) * 10.0 ** rng.integers(-3, 4, 20)
+    x = np.concatenate([special, negative, rng.normal(size=20)])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for k in range(6):
+            for arg in (x, x.reshape(-1, 2)):
+                got, expected = _ipow(arg, k), _ipow_loop(arg, k)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), k
 
 
 def test_energy_values(k2):

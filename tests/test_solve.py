@@ -808,14 +808,19 @@ def _squash_problem():
                     hessian=None, anchors=lambda: [])
 
 
-def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
-    rng = np.random.default_rng(11)
+def _squash_seeds(seed):
+    # 138 rows that reach every branch of the line search on _squash_problem
+    rng = np.random.default_rng(seed)
     near = rng.uniform(-1.0, 1.0, size=(60, 2))
     far = rng.choice([-1.0, 1.0], size=(60, 2)) * 10.0 ** rng.uniform(0.3, 2.7, size=(60, 2))
     ascent = np.column_stack([rng.uniform(-0.5, 0.5, 12), np.full(12, 40.5)])
     last_rung = np.array([[0.1, 0.5], [-0.2, 0.5], [0.1, -0.5]])
     seeds = np.vstack([near, far, ascent, last_rung, np.zeros((3, 2))])
-    seeds = seeds[rng.permutation(len(seeds))]
+    return seeds[rng.permutation(len(seeds))]
+
+
+def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
+    seeds = _squash_seeds(11)
     problem, opts = _squash_problem(), SolveOptions()
 
     stats = {"accepted_t": set(), "ladder_stalls": 0, "guard_exits": 0}
@@ -852,6 +857,99 @@ def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
             full_round = size
         else:
             assert size <= full_round
+
+
+def _c4_seeds():
+    """C4's base-level enumeration seeds (lam = -10, f = 1) and its problem."""
+    g = cycle_graph(4)
+    m = ScalarModel(lam=-10.0, f=np.ones(4))
+    problem = solve_mod._make_problem(g, m)
+    radius = apriori_radius(g, m).radius
+    seeds = solve_mod._seed_set(problem, np.full(4, -radius), np.full(4, radius),
+                                solve_mod.default_grid_n(4), SolveOptions(), [])
+    return problem, seeds
+
+
+def test_newton_batch_chunk_sizes(monkeypatch):
+    # the module budget gives the documented rows per chunk, split evenly
+    sizes = []
+
+    def stub(problem, X, opts):
+        sizes.append(len(X))
+        n = len(X)
+        return X, np.zeros(n), np.zeros(n, np.int8), np.zeros(n, bool), np.zeros(n, np.int32)
+
+    monkeypatch.setattr(solve_mod, "_newton_chunk", stub)
+    for n, rows in ((2, 65_536), (4, 16_384), (5, 10_485), (8, 4_096)):
+        sizes.clear()
+        _newton_batch(None, np.zeros((rows, n)), SolveOptions())
+        assert sizes == [rows]
+        sizes.clear()
+        _newton_batch(None, np.zeros((2 * rows + 1, n)), SolveOptions())
+        assert len(sizes) == 3 and sum(sizes) == 2 * rows + 1
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+
+
+def test_newton_batch_chunks_match_one_stack(monkeypatch):
+    # 276 rows in chunks of at most 60 run as five near-equal chunks; on a
+    # residual whose rows do not interact, every output is bit for bit that
+    # of one unchunked stack, in seed order, and the caller's seeds are kept
+    sizes = []
+    real_chunk = solve_mod._newton_chunk
+
+    def chunk_spy(problem, X, opts):
+        sizes.append(len(X))
+        return real_chunk(problem, X, opts)
+
+    problem, opts = _squash_problem(), SolveOptions()
+    seeds = np.vstack([_squash_seeds(11), _squash_seeds(12)])
+    given = seeds.copy()
+    expected = real_chunk(problem, seeds.copy(), opts)
+    monkeypatch.setattr(solve_mod, "_newton_chunk", chunk_spy)
+    monkeypatch.setattr(solve_mod, "_CHUNK_ENTRIES", 60 * 2 * 2)
+    got = _newton_batch(problem, seeds, opts)
+    assert sizes == [56, 55, 55, 55, 55]
+    assert seeds.tobytes() == given.tobytes()
+    for name, a, b in zip(("X", "nF", "status", "pseudo", "iters"), got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    # real C4 seeds in chunks of at most 500 rows: the same statuses, and the
+    # same converged roots up to the residual matmul's last bits
+    problem, seeds = _c4_seeds()
+    seeds = seeds[::7]
+    opts = SolveOptions()
+    expected = real_chunk(problem, seeds.copy(), opts)
+    monkeypatch.setattr(solve_mod, "_CHUNK_ENTRIES", 500 * 4 * 4)
+    sizes.clear()
+    got = _newton_batch(problem, seeds, opts)
+    assert len(sizes) >= 3 and max(sizes) <= 500 and sum(sizes) == len(seeds)
+    np.testing.assert_array_equal(got[2], expected[2])
+    conv = expected[2] == solve_mod._CONVERGED
+    assert conv.sum() > len(seeds) // 2
+    np.testing.assert_allclose(got[0][conv], expected[0][conv], rtol=0.0, atol=1e-12)
+
+
+def test_newton_batch_memory_is_one_chunk_plus_row_arrays(monkeypatch):
+    # eight chunks of C4 seeds may add their O(N n) arrays to one chunk's
+    # peak (the working copy of the seeds, the per-chunk outputs and their
+    # concatenation: 92 bytes a row at n = 4, under 3 N n float64), but
+    # never eight chunks' Jacobian stacks
+    monkeypatch.setattr(solve_mod, "_CHUNK_ENTRIES", 2 ** 14)
+    rows = 2 ** 14 // 16
+    problem, seeds = _c4_seeds()
+    seeds = seeds[np.random.default_rng(2).permutation(len(seeds))[:8 * rows]]
+    opts = SolveOptions(max_iter=10)  # the peak comes while every row is active
+
+    def peak(X):
+        tracemalloc.start()
+        try:
+            _newton_batch(problem, X, opts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = max(peak(seeds[k:k + rows]) for k in range(0, len(seeds), rows))
+    assert peak(seeds) < one_chunk + 3 * seeds.nbytes
 
 
 def test_root_order_ignores_rounding_level_ties():

@@ -51,6 +51,54 @@ def _load_config(args) -> dict:
     return cfg
 
 
+# Config values are checked where they are read: JSON null, strings, lists
+# and booleans would otherwise surface as TypeErrors deep in the solver.
+
+def _section(cfg: dict, name: str, default: dict | None = None) -> dict:
+    """The config's ``name`` object (``default``, else empty, when absent)."""
+    section = cfg.get(name, {} if default is None else default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config entry {name!r} must be an object, got {section!r}")
+    return section
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; ConfigError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name: str) -> list[float]:
+    """A JSON list of numbers as floats; ConfigError for anything else."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(x, name) for x in value]
+
+
+def _count(value, name: str) -> int:
+    """A positive integer given as a JSON number (2 or 2.0); 2.5 is rejected."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= 1):
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _grid(section: dict) -> int | None:
+    grid = section.get("grid")
+    return None if grid is None else _count(grid, "grid")
+
+
+def _box(section: dict):
+    """The section's ``box`` [lo, hi] (each a number or a list of numbers), or None."""
+    if "box" not in section:
+        return None
+    box = section["box"]
+    if not isinstance(box, list) or len(box) != 2:
+        raise ConfigError(f"box must be [lo, hi], got {box!r}")
+    return tuple(_numbers(b, "box") if isinstance(b, list) else _number(b, "box") for b in box)
+
+
 def _load_graph_from(cfg: dict, args) -> WeightedGraph:
     src = args.graph or cfg.get("graph")
     if src is None:
@@ -91,8 +139,8 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
 
 def _build_model(g: WeightedGraph, cfg: dict):
     kind = cfg.get("model", "scalar")
-    params = cfg.get("parameters", {})
-    source = cfg.get("source", {})
+    params = _section(cfg, "parameters")
+    source = _section(cfg, "source")
     try:
         if kind == "scalar":
             return ScalarModel(
@@ -115,7 +163,7 @@ def _build_model(g: WeightedGraph, cfg: dict):
 
 
 def _solve_options(cfg: dict, args) -> SolveOptions:
-    tols = dict(cfg.get("tolerances", {}))
+    tols = dict(_section(cfg, "tolerances"))
     if args.tol is not None:
         tols["tol_residual"] = args.tol
     if args.seed is not None:
@@ -167,7 +215,7 @@ class _Emitter:
 # commands
 
 def cmd_solve(g, model, cfg, opts, emit) -> int:
-    section = cfg.get("solve", {})
+    section = _section(cfg, "solve")
     if isinstance(model, ScalarModel):
         if model.lam == 0.0:
             fbar = average(g, model.f)
@@ -200,16 +248,15 @@ def cmd_solve(g, model, cfg, opts, emit) -> int:
 
 def _seed_array(g: WeightedGraph, seed) -> np.ndarray:
     if isinstance(seed, dict):
-        return np.array([float(seed[v]) for v in g.vertices])
-    if isinstance(seed, (list, tuple)):
-        return np.asarray(seed, dtype=float)
-    return np.full(g.ell, float(seed))
+        return np.array([_number(seed.get(v), f"seed at vertex {v}") for v in g.vertices])
+    if isinstance(seed, list):
+        return np.array(_numbers(seed, "seed"))
+    return np.full(g.ell, _number(seed, "seed"))
 
 
 def cmd_enumerate(g, model, cfg, opts, emit) -> int:
-    section = cfg.get("enumerate", {})
-    box = tuple(section["box"]) if "box" in section else None
-    report = enumerate_report(g, model, box=box, grid_n=section.get("grid"), opts=opts)
+    section = _section(cfg, "enumerate")
+    report = enumerate_report(g, model, box=_box(section), grid_n=_grid(section), opts=opts)
     for sol in report.roots:
         emit.emit(_root_record(g, model, sol))
     emit.emit({
@@ -224,11 +271,13 @@ def cmd_enumerate(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_degree(g, model, cfg, opts, emit) -> int:
-    section = cfg.get("degree", {})
+    section = _section(cfg, "degree")
     radius = section.get("radius")
-    if radius is None and isinstance(model, SystemModel):
-        radius = _system_bound(g, model, cfg.get("system", section)).bound
-    report = degree_by_enumeration(g, model, radius=radius, opts=opts, grid_n=section.get("grid"))
+    if radius is not None:
+        radius = _number(radius, "radius")
+    elif isinstance(model, SystemModel):
+        radius = _system_bound(g, model, _section(cfg, "system", section)).bound
+    report = degree_by_enumeration(g, model, radius=radius, opts=opts, grid_n=_grid(section))
     emit.emit(_degree_record(g, model, report))
     return 0
 
@@ -258,21 +307,22 @@ def _system_bound(g, model, section: dict) -> SystemBound:
     if lam1 is None or lam2 is None:
         raise ConfigError("the system bound needs 'Lambda1' and 'Lambda2' "
                           "(the degree command also takes a 'radius' instead)")
-    return apriori_bound_system(g, model, float(lam1), float(lam2))
+    return apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, ScalarModel):
         raise ConfigError("sweep is defined for the scalar model")
-    section = cfg.get("sweep", {})
+    section = _section(cfg, "sweep")
     if "range" not in section:
         raise ConfigError("sweep needs a 'range': [lambda_from, lambda_to]")
-    lo, hi = (float(x) for x in section["range"])
-    steps = section.get("steps", 11)
-    box = tuple(section["box"]) if "box" in section else None
+    span = _numbers(section["range"], "sweep range")
+    if len(span) != 2:
+        raise ConfigError(f"sweep range must be [lambda_from, lambda_to], got {span}")
+    steps = _count(section.get("steps", 11), "steps")
     records = sweep_lambda(
-        g, model.f, (lo, hi), steps, opts=opts,
-        p=model.p, sigma=model.sigma, box=box, grid_n=section.get("grid"),
+        g, model.f, tuple(span), steps, opts=opts,
+        p=model.p, sigma=model.sigma, box=_box(section), grid_n=_grid(section),
     )
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -292,11 +342,12 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
 def cmd_system(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
-    section = cfg.get("system", {})
+    section = _section(cfg, "system")
+    sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
+    grid_n = _grid(section)
     bound = _system_bound(g, model, section)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})
-    sigma_grid = [float(s) for s in section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0])]
-    audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts, grid_n=section.get("grid"))
+    audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts, grid_n=grid_n)
     emit.emit({
         "kind": "homotopy_audit",
         "radius": audit.radius,

@@ -268,8 +268,11 @@ def sigma_homotopy(
     records: list[BranchRecord] = []
     first = dataclasses.replace(model, sigma=sigma_path[0])
     if seeds is not None:
+        seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+        if seeds.size and seeds.shape[-1] != n:
+            raise ValueError(f"each seed must have length {n}, got seeds of shape {seeds.shape}")
         tracked = []
-        for s in np.atleast_2d(np.asarray(seeds, dtype=float)):
+        for s in seeds.reshape(-1, n):
             tracked.append(_polish(g, first, s, opts))
         tracked = [t for t in tracked if t is not None]
     else:

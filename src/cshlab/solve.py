@@ -11,16 +11,15 @@ rows, the rest are solved in one stacked call again and only the singular
 rows take a least-squares step: one ``lstsq`` call per distinct singular
 Jacobian, with the right-hand sides of the rows sharing it as columns (in
 the far field of the seeding box every singular Jacobian is the same -L).
-Grid seeds are deduplicated by one stable lexicographic sort.  The
-backtracking ladder 1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ... step
-lengths, each block one stacked residual call over the rows still searching;
-every row accepts the first step length of the ladder that passes the Armijo
-test, as a one-at-a-time search would, and no block holds more trial rows than
-the full-step round.  Row sup norms fold the short last axis column by column
-(:func:`~cshlab.graphs.sup_norm`).  Each grid level merges its converged rows
-into the known roots with one greedy sup-norm dedup pass over both (known rows
-first, so a re-found root replaces a known one only with a strictly lower
-residual).  Roots are classified through the eigenvalues of the energy
+The backtracking ladder 1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ...
+step lengths, each block one stacked residual call over the rows still
+searching; every row accepts the first step length of the ladder that passes
+the Armijo test, as a one-at-a-time search would, and no block holds more
+trial rows than the full-step round.  Row sup norms fold the short last axis
+column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
+its converged rows into the known roots with one greedy sup-norm dedup pass
+over both (known rows first, so a re-found root replaces a known one only
+with a strictly lower residual).  Roots are classified through the eigenvalues of the energy
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
@@ -83,9 +82,6 @@ __all__ = [
 # and no root in the models at hand can carry a larger positive component, so
 # seeding outside the window only duplicates basins already covered.
 _SEED_WINDOW = 45.0
-
-# Cap on the constant seeds along the diagonal (16 * grid_n + 1 below it).
-_DIAG_SEEDS = 801
 
 
 @dataclass
@@ -626,23 +622,9 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
     core_hi = np.minimum(hi, opts.core_window[1])
     if np.all(core_hi > core_lo) and (np.any(core_lo > lo) or np.any(core_hi < hi) or not include_box_net):
         parts.append(_grid_seeds(core_lo, core_hi, grid_n))
-    # constant functions seed cheaply along the diagonal(s)
-    c_lo, c_hi = float(lo.max()), float(hi.min())
-    if c_hi > c_lo:
-        cs = np.linspace(c_lo, c_hi, min(_DIAG_SEEDS, 16 * grid_n + 1))
-        if problem.pair:
-            half = n // 2
-            m1d = min(2 * grid_n + 1, 61)
-            cu, cv = np.meshgrid(
-                np.linspace(c_lo, c_hi, m1d), np.linspace(c_lo, c_hi, m1d), indexing="ij"
-            )
-            pairs = np.concatenate(
-                [np.repeat(cu.ravel()[:, None], half, axis=1),
-                 np.repeat(cv.ravel()[:, None], half, axis=1)],
-                axis=1,
-            )
-            parts.append(pairs)
-        parts.append(np.repeat(cs[:, None], n, axis=1))
+    # the exact constant roots stay seeded: with f = 0 at lam = -2 the root
+    # u = 0 is degenerate, Newton nears it only linearly and only the exact
+    # anchor recovers it (test_sweep_zero_source_keeps_trivial_root)
     for a in problem.anchors():
         a = np.asarray(a, dtype=float)
         if a.shape == (n,) and np.all(a >= box_lo - 1e-9) and np.all(a <= box_hi + 1e-9):
@@ -652,10 +634,7 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
         parts.append(np.clip(e, box_lo, box_hi))
     if not parts:
         return np.empty((0, n))
-    seeds = np.vstack(parts)
-    # the rows of np.unique(seeds, axis=0), without its slow structured sort
-    order, starts = _equal_row_runs(seeds)
-    return seeds[order[starts[:-1]]]
+    return np.vstack(parts)
 
 
 def _dedup_points(points: np.ndarray, norms: np.ndarray, tol: float) -> list[int]:
@@ -696,10 +675,11 @@ def enumerate_report(
 ) -> EnumerationReport:
     """Grid-seeded enumeration of all roots in a box, with refinement probe.
 
-    Seeds are a uniform grid over the box, a denser grid over the core window
-    (where the nonlinearity actually turns), constant functions along the
-    diagonal, exact constant-solution anchors when available, and any caller
-    warm starts.  After the base level the grid is refined by doubling up to
+    Seeds come in four families: a uniform grid over the box (the box net,
+    base level only), a grid over the core window where the nonlinearity
+    actually turns (the core grid), the exact constant roots inside the box
+    when available (the anchors), and any caller warm starts.  After the
+    base level the core grid is refined by doubling up to
     ``opts.max_refinements`` times; the run is declared stable when a
     refinement produces no root farther than ``dedup_tol`` from the known set.
     """
@@ -741,8 +721,7 @@ def enumerate_report(
                     f"seed budget exceeded: {grid_size} grid seeds > cap {opts.seed_cap}"
                 )
             break
-        seeds = _seed_set(problem, lo, hi, level, opts,
-                          extra + [known[0]] if len(known[0]) else extra,
+        seeds = _seed_set(problem, lo, hi, level, opts, extra,
                           include_box_net=(refinement == 0))
         if len(seeds) > opts.seed_cap:
             if refinement == 0:

@@ -173,6 +173,31 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     assert main(["sweep", "--graph", k2_path, "--config", cfg6]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "steps must be a positive integer, got 11.7" in captured.err
+    # malformed section values are config errors where they are read, not
+    # TypeErrors from inside the solver
+    scalar = {"model": "scalar", "parameters": {"lambda": -3.0},
+              "source": {"f": {"constant": -1.0}}}
+    system = {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
+              "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}}}
+    sweep = {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0]}
+    bad_values = (
+        ("sweep", scalar, {"sweep": {**sweep, "steps": None}}, "steps must be a positive integer"),
+        ("sweep", scalar, {"sweep": {**sweep, "range": [None, -5.5]}}, "sweep range must be"),
+        ("enumerate", scalar, {"enumerate": {"box": [None, 3]}}, "box must be a number"),
+        ("enumerate", scalar, {"enumerate": {"box": 3.0}}, "box must be [lo, hi]"),
+        ("enumerate", scalar, {"enumerate": {"grid": "11"}}, "grid must be a positive integer"),
+        ("enumerate", scalar, {"enumerate": {"grid": 7.5}}, "grid must be a positive integer"),
+        ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
+        ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
+         "sigma_grid must be a number"),
+        ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
+        ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
+    )
+    for command, model, section, message in bad_values:
+        cfg7 = _write_config(tmp_path, {**model, **section})
+        assert main([command, "--graph", k2_path, "--config", cfg7]) == 2, section
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured.err
 
 
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):

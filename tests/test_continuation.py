@@ -124,6 +124,20 @@ def test_sigma_homotopy_system_branch_dies_at_zero(k2):
     assert any("branch lost" in e for rec in records for e in rec.events)
 
 
+def test_sigma_homotopy_seed_list_shapes(k2):
+    m = ScalarModel(lam=1.0, f=np.zeros(2))
+    # an empty seed list tracks no branch, as an empty (0, n) array does
+    for seeds in ([], np.empty((0, 2))):
+        records = sigma_homotopy(k2, m, [1.0, 0.5], seeds=seeds)
+        assert [len(rec.roots) for rec in records] == [0, 0]
+    # one seed or a list of seeds of length n; any other length is named
+    for seeds in (np.zeros(2), [np.zeros(2)]):
+        assert len(sigma_homotopy(k2, m, [1.0], seeds=seeds)[0].roots) == 1
+    for seeds in ([np.zeros(3)], np.zeros(4), 0.0):
+        with pytest.raises(ValueError, match="each seed must have length 2"):
+            sigma_homotopy(k2, m, [1.0], seeds=seeds)
+
+
 def test_enumeration_box_falls_back_to_core_window(k2):
     opts = SolveOptions(core_window=(-9.0, 2.5))
     # lam * mean(f) = 0 and the system model have no a priori bound

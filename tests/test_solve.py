@@ -13,7 +13,6 @@ from cshlab import (
     SystemModel,
     apriori_radius,
     box_extremize,
-    complete_graph,
     constant_solutions,
     cycle_graph,
     enumerate_report,
@@ -505,38 +504,20 @@ def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
         assert steps[k].tobytes() == expected.tobytes(), (k, kind)
 
 
-def _seed_sets_of(g, m, monkeypatch):
-    """The stacks handed to the seed dedup at the base and first refinement level."""
-    stacks = []
-    real = solve_mod._equal_row_runs
-
-    def record(A):
-        stacks.append(A.copy())
-        return real(A)
-
-    monkeypatch.setattr(solve_mod, "_equal_row_runs", record)
-    problem = solve_mod._make_problem(g, m)
-    radius = apriori_radius(g, m).radius
-    lo, hi = np.full(g.ell, -radius), np.full(g.ell, radius)
-    opts = SolveOptions()
-    level = solve_mod.default_grid_n(g.ell)
-    outs = [solve_mod._seed_set(problem, lo, hi, level, opts, [])]
-    known = outs[0][:: max(1, len(outs[0]) // 40)]  # stands in for the known roots
-    outs.append(solve_mod._seed_set(problem, lo, hi, 2 * level - 1, opts, [known],
-                                    include_box_net=False))
-    return stacks, outs
-
-
-@pytest.mark.parametrize("graph", ["C4", "K5"])
-def test_seed_dedup_matches_np_unique(graph, monkeypatch):
-    g = cycle_graph(4) if graph == "C4" else complete_graph(5)
-    m = ScalarModel(lam=-10.0, f=np.ones(g.ell))
-    stacks, outs = _seed_sets_of(g, m, monkeypatch)
-    assert len(stacks) == 2
-    for stack, out in zip(stacks, outs):
-        assert len(out) < len(stack)  # the diagonal and known rows repeat grid rows
-        expected = np.unique(stack, axis=0)
-        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+@pytest.mark.parametrize("f", [1.0, -1.0])
+def test_seeds_used_is_the_sum_of_the_seed_families(k2, f):
+    # the box net and the core grid at the base level, the refined core grid
+    # after it, and the in-box constant roots at both levels: nothing else
+    m = ScalarModel(lam=-10.0, f=np.full(2, f))
+    rep = enumerate_report(k2, m)
+    radius = apriori_radius(k2, m).radius
+    anchors = sum(abs(c) <= radius for c in constant_solutions(m))
+    assert anchors == (1 if f > 0 else 2)
+    grid_n = solve_mod.default_grid_n(2)
+    assert rep.grid_levels == [grid_n, 2 * grid_n - 1]
+    base = grid_n ** 2 + grid_n ** 2 + anchors
+    refined = (2 * grid_n - 1) ** 2 + anchors
+    assert rep.seeds_used == base + refined
 
 
 def test_seed_dedup_matches_np_unique_on_repeated_rows():

@@ -128,6 +128,9 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
         except KeyError as exc:
             raise ConfigError(f"source {name} misses a value for vertex {exc}") from None
     if kind == "dirac":
+        if not isinstance(payload, dict):
+            raise ConfigError(f"source {name}: dirac takes an object "
+                              f'{{"points": [...], "coefficient": c}}, got {payload!r}')
         points = payload.get("points", [])
         coeff = float(payload.get("coefficient", 4.0 * np.pi))
         try:
@@ -265,6 +268,9 @@ def cmd_enumerate(g, model, cfg, opts, emit) -> int:
         "grid_levels": report.grid_levels,
         "grid_stable": report.stable,
         "seeds_used": report.seeds_used,
+        "certified": report.certified,
+        "boxes": report.boxes,
+        "unresolved": report.unresolved,
         "box": [report.box[0].tolist(), report.box[1].tolist()],
     })
     return 0
@@ -293,6 +299,7 @@ def _degree_record(g, model, report) -> dict:
         "degenerate_roots": report.degenerate_roots,
         "grid_levels": report.grid_levels,
         "grid_stable": report.grid_stable,
+        "certified": report.certified,
         "roots": [_root_record(g, model, s) for s in report.roots],
     }
     if report.perturbed is not None:

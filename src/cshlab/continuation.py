@@ -271,10 +271,10 @@ def sigma_homotopy(
         seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
         if seeds.size and seeds.shape[-1] != n:
             raise ValueError(f"each seed must have length {n}, got seeds of shape {seeds.shape}")
-        tracked = []
-        for s in seeds.reshape(-1, n):
-            tracked.append(_polish(g, first, s, opts))
-        tracked = [t for t in tracked if t is not None]
+        # seeds sharing a basin polish to one root: keep it once
+        tracked = _dedup_solutions(
+            [t for t in (_polish(g, first, s, opts) for s in seeds.reshape(-1, n))
+             if t is not None], opts.dedup_tol)
     else:
         tracked = enumerate_solutions(g, first, box=_enumeration_box(g, first, box, opts),
                                       grid_n=grid_n, opts=opts)

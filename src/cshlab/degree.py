@@ -71,7 +71,13 @@ def _ball_norm(model, point: np.ndarray) -> float:
 
 @dataclass
 class DegreeReport:
-    """Computed vs expected degree with the evidence behind the computation."""
+    """Computed vs expected degree with the evidence behind the computation.
+
+    ``certified`` is True when the enumeration behind it was a certified
+    branch-and-prune run with no unresolved box and only nondegenerate
+    roots (see :class:`~cshlab.solve.EnumerationReport`): every root then
+    lies in a box on which the sign of det J is proved constant.
+    """
 
     computed_degree: int
     expected_degree: int | None
@@ -82,6 +88,7 @@ class DegreeReport:
     degenerate_roots: int
     grid_levels: list[int]
     grid_stable: bool
+    certified: bool = False
     perturbed: "DegreeReport | None" = None
 
 
@@ -102,6 +109,7 @@ def _report_from_enumeration(
         degenerate_roots=degenerate,
         grid_levels=list(enum.grid_levels),
         grid_stable=enum.stable,
+        certified=enum.certified,
     )
 
 

@@ -1,5 +1,22 @@
 """Root finding, exhaustive small-graph enumeration and Morse classification.
 
+Enumeration of the scalar model (every p >= 1 and sigma in [0, 1]) is
+certified when the caller passes no ``grid_n``: interval branch and prune
+over the box (:mod:`cshlab.interval` for the outward-rounded bounds) excludes
+boxes that provably hold no root, includes by the Krawczyk test boxes that
+provably hold exactly one, and bisects the rest in a depth-first worklist
+handled in chunks of at most ``_BOX_CHUNK`` boxes, so its memory is bounded
+by construction.  Newton then polishes the midpoint of every included box,
+one seed per cluster of unresolved boxes (degenerate roots, continua) and
+the caller's warm starts.  A run is certified when no box is left
+unresolved and every root is nondegenerate; ``seed_cap`` also caps the
+number of boxes processed.
+
+With ``grid_n``, and always for the system model, enumeration seeds Newton
+from grids instead; its completeness is empirical: a grid whose refinement
+by doubling produces no new roots is declared stable, and reports carry the
+grid parameters used.
+
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
 on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
 stays fast even with 10^5..10^6 seeds.  A batch runs in near-equal chunks of
@@ -28,10 +45,6 @@ and ``box_extremize`` polishes its interior extremizers through ``newton``:
 a non-finite seed or one outside the exp guard is rejected, and a failed run
 raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
 stalled, the iterate left the admissible range, or max_iter was exceeded).
-
-Completeness of enumeration is empirical, never certified: a grid whose
-refinement by doubling produces no new roots is declared stable, and reports
-carry the grid parameters used.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
+from . import interval
 from .errors import SolverError
 from .graphs import WeightedGraph, solve_poisson, sup_norm
 from .scalar import (
@@ -564,13 +578,26 @@ def solve_system(
 
 @dataclass
 class EnumerationReport:
-    """Roots plus the grid-stability evidence for the enumeration run."""
+    """Roots plus the evidence for the enumeration run.
+
+    A certified run (branch and prune) has ``grid_levels == []``, ``stable``
+    equal to ``certified``, and counts in ``seeds_used`` the rows it polished
+    by Newton; ``boxes`` counts the boxes it processed and ``unresolved`` the
+    boxes it could neither exclude nor include.  ``certified`` is True only
+    for a branch-and-prune run that left no box unresolved and classified
+    every root as nondegenerate.  A grid run
+    reports its seed levels and refinement stability, with ``certified``
+    False and no boxes.
+    """
 
     roots: list[ClassifiedSolution]
     box: tuple[np.ndarray, np.ndarray]
     grid_levels: list[int]
     stable: bool
     seeds_used: int
+    certified: bool = False
+    boxes: int = 0
+    unresolved: int = 0
 
 
 def default_grid_n(n: int, pair: bool = False) -> int:
@@ -629,9 +656,7 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
         a = np.asarray(a, dtype=float)
         if a.shape == (n,) and np.all(a >= box_lo - 1e-9) and np.all(a <= box_hi + 1e-9):
             parts.append(a[None, :])
-    for e in extra:
-        e = np.asarray(e, dtype=float).reshape(-1, n)
-        parts.append(np.clip(e, box_lo, box_hi))
+    parts.extend(extra)
     if not parts:
         return np.empty((0, n))
     return np.vstack(parts)
@@ -673,15 +698,21 @@ def enumerate_report(
     extra_seeds: Sequence[np.ndarray] | None = None,
     check_box: bool = True,
 ) -> EnumerationReport:
-    """Grid-seeded enumeration of all roots in a box, with refinement probe.
+    """Enumeration of all roots in a box: certified for the scalar model.
 
-    Seeds come in four families: a uniform grid over the box (the box net,
-    base level only), a grid over the core window where the nonlinearity
-    actually turns (the core grid), the exact constant roots inside the box
-    when available (the anchors), and any caller warm starts.  After the
-    base level the core grid is refined by doubling up to
-    ``opts.max_refinements`` times; the run is declared stable when a
-    refinement produces no root farther than ``dedup_tol`` from the known set.
+    For a :class:`ScalarModel` without ``grid_n`` the box is searched by
+    interval branch and prune (:func:`_branch_and_prune`), and every root
+    comes from Newton polishing a box that provably holds one, an unresolved
+    region, or a caller warm start.
+
+    With ``grid_n``, and always for the system model, seeds come in four
+    families: a uniform grid over the box (the box net, base level only), a
+    grid over the core window where the nonlinearity actually turns (the core
+    grid), the exact constant roots inside the box when available (the
+    anchors), and any caller warm starts.  After the base level the core grid
+    is refined by doubling up to ``opts.max_refinements`` times; the run is
+    declared stable when a refinement produces no root farther than
+    ``dedup_tol`` from the known set.
     """
     opts = opts or SolveOptions()
     problem = _make_problem(g, model)
@@ -700,11 +731,14 @@ def enumerate_report(
                 "roots outside the box will be missed",
                 stacklevel=2,
             )
+    extra = [np.clip(np.asarray(e, dtype=float).reshape(-1, problem.n), lo, hi)
+             for e in (extra_seeds or [])]
+    if grid_n is None and isinstance(model, ScalarModel):
+        return _certified_report(g, model, problem, lo, hi, opts, extra)
+
     level = grid_n if grid_n is not None else default_grid_n(problem.n, problem.pair)
     if level < 2:
         raise ValueError("grid_n must be at least 2")
-
-    extra = [np.asarray(e, dtype=float) for e in (extra_seeds or [])]
     # known roots as parallel arrays: points, residual norms, pseudo flags, iterations
     known = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
              np.empty(0, dtype=np.int32)]
@@ -732,8 +766,7 @@ def enumerate_report(
         seeds_used += len(seeds)
         levels.append(level)
         X, nF, status, pseudo, iters = _newton_batch(problem, seeds, opts)
-        sel = ((status == _CONVERGED) & np.all(X >= lo - opts.dedup_tol, axis=1)
-               & np.all(X <= hi + opts.dedup_tol, axis=1))
+        sel = (status == _CONVERGED) & _in_box(X, lo, hi, opts.dedup_tol)
         # known rows come first, so a tie keeps the known root: a re-found
         # root replaces it only with a strictly lower residual
         merged = [np.concatenate([k, a[sel]]) for k, a in zip(known, (X, nF, pseudo, iters))]
@@ -745,14 +778,171 @@ def enumerate_report(
             break
         level = 2 * level - 1
 
-    roots = [_classify_root(problem, *row) for row in zip(*known)]
-    _sort_roots(roots, opts.dedup_tol)
     return EnumerationReport(
-        roots=roots,
+        roots=_classified_roots(problem, known, opts.dedup_tol),
         box=(lo, hi),
         grid_levels=levels,
         stable=stable,
         seeds_used=seeds_used,
+    )
+
+
+def _in_box(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Rows of ``X`` inside the box [lo - tol, hi + tol]."""
+    return np.all(X >= lo - tol, axis=-1) & np.all(X <= hi + tol, axis=-1)
+
+
+def _classified_roots(problem: _Problem, rows, tol: float) -> list[ClassifiedSolution]:
+    """Classify the (points, norms, pseudo, iterations) rows, sorted by :func:`_sort_roots`."""
+    roots = [_classify_root(problem, *row) for row in zip(*rows)]
+    _sort_roots(roots, tol)
+    return roots
+
+
+# Boxes handled per pass of the branch-and-prune worklist: each pass pops at
+# most this many and pushes at most twice as many, so the arrays of one pass
+# are bounded whatever the box count.
+_BOX_CHUNK = 1024
+
+
+def _branch_and_prune(g: WeightedGraph, m: ScalarModel, lo: np.ndarray, hi: np.ndarray,
+                      opts: SolveOptions):
+    """Interval branch and prune over the box [lo, hi] for the scalar model.
+
+    A depth-first worklist, processed in chunks of at most ``_BOX_CHUNK``
+    boxes, sends each box X to one of four fates:
+
+    * excluded, when :func:`~cshlab.interval.excluded` proves it rootless or
+      X meets K(X~) in the empty set;
+    * included, when K(X~) lies in the interior of X~, where X~ is X widened
+      by a sixteenth of its width on each side (so a root on a face shared
+      by two boxes is still interior to one of them) and K the Krawczyk
+      operator: X~ then holds exactly one root;
+    * contracted to X ∩ K(X~) (which keeps every root of X) when that at
+      least halves the widest side;
+    * otherwise bisected on the widest side of X ∩ K(X~).
+
+    A box whose widest side falls below ``opts.dedup_tol`` without being
+    excluded or included is unresolved (degenerate roots and continua end
+    here); it is kept, never dropped.  Processing more than
+    ``opts.seed_cap`` boxes raises :class:`SolverError`.
+
+    Returns ``(included_lo, included_hi, unresolved_lo, unresolved_hi,
+    boxes)``: the included boxes X~, the unresolved boxes and the number of
+    boxes processed.
+    """
+    stack = [(lo[None], hi[None])]
+    empty = np.empty((0, len(lo)))
+    included, unresolved = [(empty, empty)], [(empty, empty)]
+    boxes = 0
+    while stack:
+        blo, bhi = stack.pop()
+        while stack and len(blo) < _BOX_CHUNK:
+            plo, phi = stack.pop()
+            blo, bhi = np.concatenate([plo, blo]), np.concatenate([phi, bhi])
+        if len(blo) > _BOX_CHUNK:  # keep the deepest boxes, push the rest back
+            stack.append((blo[:-_BOX_CHUNK], bhi[:-_BOX_CHUNK]))
+            blo, bhi = blo[-_BOX_CHUNK:], bhi[-_BOX_CHUNK:]
+        boxes += len(blo)
+        if boxes > opts.seed_cap:
+            raise SolverError(f"box budget exceeded: more than {opts.seed_cap} boxes "
+                              "(seed_cap) in branch and prune")
+        keep = ~interval.excluded(g, m, blo, bhi)
+        blo, bhi = blo[keep], bhi[keep]
+        if not len(blo):
+            continue
+        pad = (bhi - blo) / 16.0
+        wlo, whi = blo - pad, bhi + pad
+        klo, khi = interval.krawczyk(g, m, wlo, whi)
+        inc = np.all((klo > wlo) & (khi < whi), axis=1)
+        included.append((wlo[inc], whi[inc]))
+        # fmax/fmin ignore a NaN bound of K: no information, no contraction
+        clo, chi = np.fmax(blo, klo)[~inc], np.fmin(bhi, khi)[~inc]
+        width = (chi - clo).max(axis=1)
+        live = np.all(clo <= chi, axis=1)
+        small = live & (width < opts.dedup_tol)
+        unresolved.append((clo[small], chi[small]))
+        shrunk = live & ~small & (width <= 0.5 * (bhi - blo)[~inc].max(axis=1))
+        split = live & ~small & ~shrunk
+        slo, shi = clo[split], chi[split]
+        axis = np.argmax(shi - slo, axis=1)
+        rows = np.arange(len(axis))
+        mid = slo[rows, axis] + 0.5 * (shi[rows, axis] - slo[rows, axis])
+        left_hi, right_lo = shi.copy(), slo.copy()
+        left_hi[rows, axis] = mid
+        right_lo[rows, axis] = mid
+        stack.append((np.concatenate([clo[shrunk], slo, right_lo]),
+                      np.concatenate([chi[shrunk], left_hi, shi])))
+    return (*map(np.concatenate, zip(*included)), *map(np.concatenate, zip(*unresolved)), boxes)
+
+
+def _cluster_seeds(problem: _Problem, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """One Newton seed per cluster of unresolved boxes.
+
+    Boxes whose midpoints lie within ``2 tol`` of each other (sup norm) are
+    linked, and a cluster is a connected component of those links; its seed
+    is the midpoint with the lowest residual.
+    """
+    if not len(lo):
+        return np.empty((0, problem.n))
+    # imported here: only runs with unresolved boxes reach this
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    mids = lo + 0.5 * (hi - lo)
+    pairs = cKDTree(mids).query_pairs(2.0 * tol, p=np.inf, output_type="ndarray")
+    links = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                      shape=(len(mids), len(mids)))
+    labels = connected_components(links, directed=False)[1]
+    order = np.lexsort((_norms(_residual_rows(problem, mids)), labels))
+    first = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    return mids[order[first]]
+
+
+def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: np.ndarray,
+                      hi: np.ndarray, opts: SolveOptions, extra: list[np.ndarray]
+                      ) -> EnumerationReport:
+    """Branch and prune over the box, then Newton polish of what it found.
+
+    Polished rows: the midpoint of every included box, one seed per cluster
+    of unresolved boxes, the constant roots inside an unresolved box, and the
+    caller's warm starts; they merge through the same dedup as grid levels.
+    An included box whose polished row does not converge inside it counts as
+    unresolved (an included box at the edge may hold a root just outside the
+    search box; that root is found but not reported, as on the grid path).  A report is certified only when no box is unresolved and
+    every root is nondegenerate: every root of the box then lies in an
+    included box, on which det J keeps one sign, and that sign is the
+    root's ``sign_det``.
+    """
+    inc_lo, inc_hi, unr_lo, unr_hi, boxes = _branch_and_prune(g, m, lo, hi, opts)
+    anchors = [a for a in problem.anchors()
+               if np.any(_in_box(a, unr_lo, unr_hi, opts.dedup_tol))]
+    seeds = np.vstack([inc_lo + 0.5 * (inc_hi - inc_lo),
+                       _cluster_seeds(problem, unr_lo, unr_hi, opts.dedup_tol),
+                       np.reshape(anchors, (-1, problem.n)), *extra])
+    rows = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
+            np.empty(0, dtype=np.int32)]
+    unresolved = len(unr_lo)
+    if len(seeds):
+        X, nF, status, pseudo, iters = _newton_batch(problem, seeds, opts)
+        converged = status == _CONVERGED
+        k = len(inc_lo)
+        unresolved += int(np.count_nonzero(~(converged[:k] & _in_box(X[:k], inc_lo, inc_hi))))
+        ok = converged & _in_box(X, lo, hi, opts.dedup_tol)
+        kept = _dedup_points(X[ok], nF[ok], opts.dedup_tol)
+        rows = [a[ok][kept] for a in (X, nF, pseudo, iters)]
+    roots = _classified_roots(problem, rows, opts.dedup_tol)
+    certified = unresolved == 0 and all(r.nondegenerate for r in roots)
+    return EnumerationReport(
+        roots=roots,
+        box=(lo, hi),
+        grid_levels=[],
+        stable=certified,
+        seeds_used=len(seeds),
+        certified=certified,
+        boxes=boxes,
+        unresolved=unresolved,
     )
 
 

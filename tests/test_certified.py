@@ -1,0 +1,268 @@
+"""Certified enumeration: the interval kernel and branch and prune.
+
+The grid path (an explicit ``grid_n``) is the reference the certified path
+must reproduce: the same roots at 1e-7, the same Morse data and the same
+degrees.  The kernel is checked against point evaluations of the residual
+and the Jacobian at random points of random boxes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cshlab import (
+    ScalarModel,
+    SolveOptions,
+    SolverError,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    degree_by_enumeration,
+    enumerate_report,
+    path_graph,
+)
+import cshlab.solve as solve_mod
+from cshlab import interval
+from cshlab.graphs import average
+from cshlab.solve import (
+    _CONVERGED,
+    _branch_and_prune,
+    _classify_root,
+    _newton_batch,
+    _scalar_problem,
+    default_grid_n,
+)
+
+GRAPHS = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
+          "K5": complete_graph(5)}
+SIGN_PATTERNS = ((10.0, -1.0), (-10.0, 1.0), (-10.0, -1.0), (10.0, 1.0))
+
+
+def _jittered(g, fbar, seed):
+    d = np.random.default_rng(seed).uniform(-1.0, 1.0, g.ell)
+    return fbar + 0.05 * abs(fbar) * (d - average(g, d))
+
+
+def _assert_same_roots(certified, grid):
+    assert len(certified) == len(grid)
+    unused = list(grid)
+    for r in certified:
+        match = [s for s in unused if np.abs(s.point - r.point).max() <= 1e-7]
+        assert len(match) == 1, r.point
+        s = match[0]
+        assert (s.morse_index, s.nondegenerate, s.sign_det) == (
+            r.morse_index, r.nondegenerate, r.sign_det)
+        unused.remove(s)
+
+
+CROSS_CHECK = [(name, lam, fbar, None) for name in GRAPHS for lam, fbar in SIGN_PATTERNS]
+CROSS_CHECK += [(name, -10.0, 1.0, seed) for seed, name in enumerate(GRAPHS, start=1)]
+
+
+@pytest.mark.parametrize("name,lam,fbar,jitter", CROSS_CHECK)
+def test_certified_degree_matches_grid(name, lam, fbar, jitter):
+    g = GRAPHS[name]
+    f = np.full(g.ell, fbar) if jitter is None else _jittered(g, fbar, jitter)
+    m = ScalarModel(lam=lam, f=f)
+    cert = degree_by_enumeration(g, m)
+    grid = degree_by_enumeration(g, m, grid_n=default_grid_n(g.ell))
+    assert cert.certified and not grid.certified
+    assert cert.grid_levels == [] and cert.grid_stable
+    assert cert.computed_degree == grid.computed_degree == cert.expected_degree
+    assert cert.morse_sum == grid.morse_sum
+    _assert_same_roots(cert.roots, grid.roots)
+
+
+@pytest.mark.parametrize("g,m", [
+    (complete_graph(2), ScalarModel(lam=-12.0, f=np.full(2, -0.8), p=2)),
+    (complete_graph(2), ScalarModel(lam=-10.0, f=np.ones(2), sigma=0.5)),
+    (path_graph(3), ScalarModel(lam=-10.0, f=np.ones(3), p=2, sigma=0.5)),
+    (complete_graph(2), ScalarModel(lam=8.0, f=np.full(2, -1.0), p=3, sigma=0.0)),
+], ids=["c11-p2", "sigma-half", "P3-p2-sigma-half", "p3-sigma0"])
+def test_certified_generalized_model_matches_grid(g, m):
+    box = (-9.0, 3.0)
+    cert = enumerate_report(g, m, box=box, check_box=False)
+    grid = enumerate_report(g, m, box=box, grid_n=default_grid_n(g.ell), check_box=False)
+    assert cert.certified and cert.unresolved == 0 and cert.boxes > 0
+    assert cert.roots
+    _assert_same_roots(cert.roots, grid.roots)
+    assert sum(r.sign_det for r in cert.roots) == sum(r.sign_det for r in grid.roots)
+
+
+def _models():
+    rng = np.random.default_rng(7)
+    g = build_graph([("a", 1.0), ("b", 2.0), ("c", 0.5)],
+                    [("a", "b", 1.0), ("b", "c", 0.4), ("a", "c", 2.5)])
+    for p in (1, 2, 3):
+        for sigma in (0.0, 0.5, 1.0):
+            for lam in (-7.0, 3.0):
+                yield g, ScalarModel(lam=lam, f=rng.uniform(-2.0, 2.0, 3), p=p, sigma=sigma)
+
+
+def _point_residual(g, m, x):
+    # the residual formula without the exp guard, so boxes past +-700 and
+    # boxes where exp underflows can be sampled too
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(x)
+        return x @ g.neg_laplacian_matrix().T + m.lam * e * (e - m.sigma) ** (2 * m.p - 1) + m.f
+
+
+def _point_diag(m, x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(x)
+        return m.lam * e * (e - m.sigma) ** (2 * m.p - 2) * (2 * m.p * e - m.sigma)
+
+
+@pytest.mark.parametrize("centre,scale", [(0.0, 3.0), (-5.0, 0.01), (345.0, 8.0),
+                                          (-700.0, 4.0), (700.0, 2.0), (-760.0, 30.0)])
+def test_interval_kernel_encloses_point_values(centre, scale):
+    rng = np.random.default_rng(11)
+    for g, m in _models():
+        mid = centre + rng.uniform(-scale, scale, (64, g.ell))
+        half = rng.uniform(0.0, scale, (64, g.ell)) * rng.uniform(0.0, 1.0, (64, 1))
+        lo, hi = mid - half, mid + half
+        Fl, Fh = interval.residual_bounds(g, m, lo, hi)
+        dl, dh = interval.jacobian_diag_bounds(g, m, lo, hi)
+        for _ in range(8):
+            x = lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
+            F, d = _point_residual(g, m, x), _point_diag(m, x)
+            assert np.all((Fl <= F) & (F <= Fh)), (m, centre)
+            assert np.all((dl <= d) & (d <= dh)), (m, centre)
+
+
+def test_interval_kernel_never_excludes_a_root_box():
+    # boxes around polished roots (residual ~1e-15), in every position; the
+    # widths stay far above the distance to the exact root
+    rng = np.random.default_rng(3)
+    for name, g in GRAPHS.items():
+        for lam, fbar in SIGN_PATTERNS:
+            m = ScalarModel(lam=lam, f=np.full(g.ell, fbar))
+            roots = np.array([r.point for r in enumerate_report(g, m).roots])
+            if not len(roots):
+                continue
+            roots = np.repeat(roots, 16, axis=0)
+            w = 10.0 ** rng.uniform(-5, 1, (len(roots), 1))
+            lo = roots - rng.uniform(0.0, 1.0, roots.shape) * w
+            hi = lo + w
+            assert not interval.excluded(g, m, lo, hi).any(), name
+            klo, khi = interval.krawczyk(g, m, lo, hi)
+            assert np.all((klo <= roots) & (roots <= khi)), name
+
+
+def test_inclusion_boxes_hold_their_polished_root_and_sign():
+    for name in ("P3", "C4"):
+        g = GRAPHS[name]
+        m = ScalarModel(lam=-10.0, f=_jittered(g, 1.0, 9))
+        r = solve_mod.apriori_radius(g, m).radius
+        lo, hi, unr_lo, _, boxes = _branch_and_prune(
+            g, m, np.full(g.ell, -r), np.full(g.ell, r), SolveOptions())
+        assert len(unr_lo) == 0 and len(lo) > 0 and boxes > len(lo)
+        problem = _scalar_problem(g, m)
+        mid = lo + 0.5 * (hi - lo)
+        X, nF, status, pseudo, iters = _newton_batch(problem, mid, SolveOptions())
+        assert np.all(status == _CONVERGED)
+        assert np.all((lo <= X) & (X <= hi))
+        J = problem.jacobian(mid)
+        for k in range(len(X)):
+            root = _classify_root(problem, X[k], nF[k])
+            assert root.nondegenerate
+            # sign det J is constant on an inclusion box
+            assert root.sign_det == np.sign(np.linalg.det(J[k]))
+            assert root.sign_det == np.sign(np.linalg.det(problem.jacobian(X[k][None])[0]))
+
+
+def test_degenerate_root_is_found_but_not_certified():
+    # f = 0, lam = -2: the constant root u = 0 is degenerate (J = -L - 2 I on K2)
+    g = GRAPHS["K2"]
+    m = ScalarModel(lam=-2.0, f=np.zeros(2))
+    cert = enumerate_report(g, m, box=(-4.0, 3.0), check_box=False)
+    grid = enumerate_report(g, m, box=(-4.0, 3.0), grid_n=41, check_box=False)
+    assert not cert.certified and not cert.stable
+    assert cert.unresolved > 0
+    assert any(np.all(r.point == 0.0) for r in cert.roots)
+    assert len(cert.roots) < len(grid.roots)
+    # the degree report says so too
+    rep = degree_by_enumeration(g, m, radius=3.0)
+    assert not rep.certified and rep.degenerate_roots >= 1
+
+
+def test_certified_run_polishes_caller_seeds():
+    g = GRAPHS["K2"]
+    m = ScalarModel(lam=-10.0, f=np.ones(2))
+    base = enumerate_report(g, m)
+    extra = [np.array([0.3, -0.2]), np.array([[5.0, 5.0], [1e3, -1e3]])]
+    seen = []
+    real = solve_mod._newton_batch
+
+    def spy(problem, seeds, opts):
+        seen.append(np.array(seeds))
+        return real(problem, seeds, opts)
+
+    solve_mod._newton_batch = spy
+    try:
+        rep = enumerate_report(g, m, extra_seeds=extra)
+    finally:
+        solve_mod._newton_batch = real
+    assert rep.certified and rep.seeds_used == base.seeds_used + 3
+    (rows,) = seen
+    # warm starts are clipped into the box, as on the grid path
+    lo, hi = rep.box
+    assert np.array_equal(rows[-3:], np.clip([[0.3, -0.2], [5.0, 5.0], [1e3, -1e3]], lo, hi))
+    _assert_same_roots(rep.roots, base.roots)
+
+
+def test_included_box_without_its_root_is_unresolved(monkeypatch):
+    # a polish that fails for the first included box must cost the
+    # certificate, not silently drop that box's root
+    g = GRAPHS["K2"]
+    m = ScalarModel(lam=-10.0, f=np.ones(2))
+    real = solve_mod._newton_batch
+
+    def stall_first(problem, seeds, opts):
+        X, nF, status, pseudo, iters = real(problem, seeds, opts)
+        status[0] = solve_mod._STALLED
+        return X, nF, status, pseudo, iters
+
+    monkeypatch.setattr(solve_mod, "_newton_batch", stall_first)
+    rep = enumerate_report(g, m)
+    assert rep.unresolved == 1 and not rep.certified and not rep.stable
+
+
+def test_continuum_of_roots_exceeds_the_box_budget():
+    # lam = 0 with a mean-zero source: phi + c solves for every constant c
+    g = GRAPHS["K2"]
+    m = ScalarModel(lam=0.0, f=np.array([1.0, -1.0]))
+    with pytest.raises(SolverError, match="box budget exceeded"):
+        enumerate_report(g, m, box=(-3.0, 3.0), opts=SolveOptions(seed_cap=20_000),
+                         check_box=False)
+
+
+def test_worklist_memory_is_bounded_by_the_chunk(monkeypatch):
+    # K5 takes about 14k boxes; its widest level holds over a thousand
+    g = GRAPHS["K5"]
+    m = ScalarModel(lam=-10.0, f=np.ones(5))
+    r = solve_mod.apriori_radius(g, m).radius
+    lo, hi = np.full(5, -r), np.full(5, r)
+    sizes = []
+    real = interval.krawczyk
+
+    def spy(g, m, lo, hi):
+        sizes.append(len(lo))
+        return real(g, m, lo, hi)
+
+    def peak(chunk):
+        monkeypatch.setattr(solve_mod, "_BOX_CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            out = _branch_and_prune(g, m, lo, hi, SolveOptions())
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    unchunked, whole = peak(10 ** 7)
+    monkeypatch.setattr(interval, "krawczyk", spy)
+    chunked, small = peak(64)
+    assert max(sizes) <= 64
+    assert chunked[-1] == unchunked[-1] and len(chunked[0]) == len(unchunked[0]) == 31
+    assert small < 0.5 * whole and small < 1_000_000, (small, whole)

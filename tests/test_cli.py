@@ -95,6 +95,33 @@ def test_enumerate_emits_roots_and_summary(tmp_path, k2_path, capsys):
     assert summary[0]["count"] == len(roots)
 
 
+def test_records_carry_certification(tmp_path, k2_path, capsys):
+    scalar = {"model": "scalar", "parameters": {"lambda": -10.0},
+              "source": {"f": {"constant": 1.0}}}
+    # without a grid the scalar enumeration is certified branch and prune
+    code, records = _run(["enumerate", "--graph", k2_path,
+                          "--config", _write_config(tmp_path, scalar)], capsys)
+    assert code == 0
+    summary = records[-1]
+    assert summary["kind"] == "enumeration_summary" and summary["count"] == 3
+    assert summary["certified"] is True and summary["unresolved"] == 0
+    assert summary["boxes"] > 0 and summary["grid_levels"] == []
+    assert summary["grid_stable"] is True and summary["seeds_used"] >= 3
+    code, records = _run(["degree", "--graph", k2_path,
+                          "--config", _write_config(tmp_path, scalar)], capsys)
+    assert code == 0 and records[0]["certified"] is True
+    # a grid asks for the grid path, which is never certified
+    gridded = {**scalar, "enumerate": {"grid": 21}, "degree": {"grid": 21}}
+    code, records = _run(["enumerate", "--graph", k2_path,
+                          "--config", _write_config(tmp_path, gridded)], capsys)
+    summary = records[-1]
+    assert summary["certified"] is False and summary["boxes"] == 0
+    assert summary["unresolved"] == 0 and summary["grid_levels"] == [21, 41]
+    code, records = _run(["degree", "--graph", k2_path,
+                          "--config", _write_config(tmp_path, gridded)], capsys)
+    assert code == 0 and records[0]["certified"] is False
+
+
 def test_sweep_csv(tmp_path, k2_path, capsys):
     cfg = _write_config(tmp_path, {
         "model": "scalar",
@@ -192,6 +219,7 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
          "sigma_grid must be a number"),
         ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
         ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
+        ("solve", scalar, {"source": {"f": {"dirac": 3}}}, "dirac takes an object"),
     )
     for command, model, section, message in bad_values:
         cfg7 = _write_config(tmp_path, {**model, **section})

@@ -138,6 +138,15 @@ def test_sigma_homotopy_seed_list_shapes(k2):
             sigma_homotopy(k2, m, [1.0], seeds=seeds)
 
 
+def test_sigma_homotopy_merges_seeds_of_one_basin(k2):
+    # both seeds polish to the root u = 0 on the first slice: one branch
+    m = ScalarModel(lam=1.0, f=np.zeros(2))
+    records = sigma_homotopy(k2, m, [1.0, 0.5], seeds=[np.zeros(2), np.full(2, 0.01)])
+    assert records[0].counts["strict_min"] == 1
+    assert [len(rec.roots) for rec in records] == [1, 1]
+    assert np.all(records[0].roots[0].point == 0.0)
+
+
 def test_enumeration_box_falls_back_to_core_window(k2):
     opts = SolveOptions(core_window=(-9.0, 2.5))
     # lam * mean(f) = 0 and the system model have no a priori bound

@@ -508,12 +508,13 @@ def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
 def test_seeds_used_is_the_sum_of_the_seed_families(k2, f):
     # the box net and the core grid at the base level, the refined core grid
     # after it, and the in-box constant roots at both levels: nothing else
+    # (a scalar run takes the grid path only when asked for a grid_n)
     m = ScalarModel(lam=-10.0, f=np.full(2, f))
-    rep = enumerate_report(k2, m)
+    grid_n = solve_mod.default_grid_n(2)
+    rep = enumerate_report(k2, m, grid_n=grid_n)
     radius = apriori_radius(k2, m).radius
     anchors = sum(abs(c) <= radius for c in constant_solutions(m))
     assert anchors == (1 if f > 0 else 2)
-    grid_n = solve_mod.default_grid_n(2)
     assert rep.grid_levels == [grid_n, 2 * grid_n - 1]
     base = grid_n ** 2 + grid_n ** 2 + anchors
     refined = (2 * grid_n - 1) ** 2 + anchors

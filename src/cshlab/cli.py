@@ -84,9 +84,15 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-def _grid(section: dict) -> int | None:
+def _grid(section: dict, model) -> int | None:
+    # scalar enumeration is always certified branch and prune: a scalar
+    # config's grid is refused, not ignored
     grid = section.get("grid")
-    return None if grid is None else _count(grid, "grid")
+    if grid is None:
+        return None
+    if not isinstance(model, SystemModel):
+        raise ConfigError("grid applies only to the system model")
+    return _count(grid, "grid")
 
 
 def _box(section: dict):
@@ -259,7 +265,8 @@ def _seed_array(g: WeightedGraph, seed) -> np.ndarray:
 
 def cmd_enumerate(g, model, cfg, opts, emit) -> int:
     section = _section(cfg, "enumerate")
-    report = enumerate_report(g, model, box=_box(section), grid_n=_grid(section), opts=opts)
+    report = enumerate_report(g, model, box=_box(section), grid_n=_grid(section, model),
+                              opts=opts)
     for sol in report.roots:
         emit.emit(_root_record(g, model, sol))
     emit.emit({
@@ -283,7 +290,8 @@ def cmd_degree(g, model, cfg, opts, emit) -> int:
         radius = _number(radius, "radius")
     elif isinstance(model, SystemModel):
         radius = _system_bound(g, model, _section(cfg, "system", section)).bound
-    report = degree_by_enumeration(g, model, radius=radius, opts=opts, grid_n=_grid(section))
+    report = degree_by_enumeration(g, model, radius=radius, opts=opts,
+                                   grid_n=_grid(section, model))
     emit.emit(_degree_record(g, model, report))
     return 0
 
@@ -327,9 +335,10 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
     if len(span) != 2:
         raise ConfigError(f"sweep range must be [lambda_from, lambda_to], got {span}")
     steps = _count(section.get("steps", 11), "steps")
+    _grid(section, model)  # a scalar model takes no grid: rejects one
     records = sweep_lambda(
         g, model.f, tuple(span), steps, opts=opts,
-        p=model.p, sigma=model.sigma, box=_box(section), grid_n=_grid(section),
+        p=model.p, sigma=model.sigma, box=_box(section),
     )
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -351,7 +360,7 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
         raise ConfigError("the system command needs a system model")
     section = _section(cfg, "system")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
-    grid_n = _grid(section)
+    grid_n = _grid(section, model)
     bound = _system_bound(g, model, section)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})
     audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts, grid_n=grid_n)

@@ -1,8 +1,9 @@
 """Parameter sweeps in the coupling and the deformation parameter.
 
-``sweep_lambda`` tracks the classified root set along a grid of couplings
-with warm-started enumeration and records branch events (a Morse type
-appearing or vanishing between steps, refined once by a midpoint sample).
+``sweep_lambda`` tracks the classified root set along a grid of couplings,
+enumerating each coupling afresh by certified branch and prune, and records
+branch events (a Morse type appearing or vanishing between steps, refined
+once by a midpoint sample).
 ``estimate_threshold`` brackets and bisects the empirical critical couplings
 at which a strict-minimum or strict-maximum certificate appears, and checks
 the bracketing inequalities that the thresholds must satisfy against the sign
@@ -84,14 +85,6 @@ def _enumeration_box(g: WeightedGraph, model, box, opts: SolveOptions):
     return opts.core_window if r is None else (-r, r)
 
 
-def _enumerate_at(g, model, box, grid_n, opts, warm):
-    return enumerate_solutions(
-        g, model, box=box, grid_n=grid_n, opts=opts,
-        extra_seeds=[r.point for r in warm] if warm else None,
-        check_box=False,
-    )
-
-
 def sweep_lambda(
     g: WeightedGraph,
     f: np.ndarray,
@@ -101,11 +94,12 @@ def sweep_lambda(
     p: int = 1,
     sigma: float = 1.0,
     box=None,
-    grid_n: int | None = None,
 ) -> list[BranchRecord]:
-    """Enumerate roots along a coupling grid with warm starts.
+    """Enumerate roots along a coupling grid, each coupling on its own.
 
-    The grid never contains 0 (no residual map is defined there for degree
+    Every coupling is enumerated by certified branch and prune over ``box``
+    (by default the a priori ball, else ``opts.core_window``).  The grid
+    never contains 0 (no residual map is defined there for degree
     purposes); a range straddling 0 is simply sampled on both sides with the
     zero sample dropped.  Events mark Morse-type counts changing between
     consecutive grid points, and one midpoint sample is inserted next to each
@@ -117,21 +111,17 @@ def sweep_lambda(
     opts = opts or SolveOptions()
     values = [lam for lam in np.linspace(lambda_range[0], lambda_range[1], int(steps))
               if lam != 0.0]
-    records: list[BranchRecord] = []
-    warm: list[ClassifiedSolution] = []
-    for lam in values:
-        m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-        roots = _enumerate_at(g, m, _enumeration_box(g, m, box, opts), grid_n, opts, warm)
-        records.append(BranchRecord(float(lam), roots, _count_types(roots, g.ell), []))
-        warm = roots
 
-    refined = list(records)
-    for a, b in zip(records, records[1:]):
-        if a.counts != b.counts and np.sign(a.parameter) == np.sign(b.parameter):
-            lam = 0.5 * (a.parameter + b.parameter)
-            m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-            roots = _enumerate_at(g, m, _enumeration_box(g, m, box, opts), grid_n, opts, a.roots + b.roots)
-            refined.append(BranchRecord(float(lam), roots, _count_types(roots, g.ell), []))
+    def record(lam: float) -> BranchRecord:
+        m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
+        roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), opts=opts,
+                                    check_box=False)
+        return BranchRecord(float(lam), roots, _count_types(roots, g.ell), [])
+
+    records = [record(lam) for lam in values]
+    refined = records + [record(0.5 * (a.parameter + b.parameter))
+                         for a, b in zip(records, records[1:])
+                         if a.counts != b.counts and np.sign(a.parameter) == np.sign(b.parameter)]
     # keep the caller's sweep direction so events read in sweep order
     refined.sort(key=lambda r: r.parameter, reverse=lambda_range[1] < lambda_range[0])
     for a, b in zip(refined, refined[1:]):
@@ -161,10 +151,10 @@ class ThresholdEstimate:
     notes: list[str]
 
 
-def _certificate(g, f, lam: float, which: str, box, grid_n, opts) -> tuple[bool, str]:
+def _certificate(g, f, lam: float, which: str, box, opts) -> tuple[bool, str]:
     m = ScalarModel(lam=float(lam), f=f)
-    roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), grid_n=grid_n,
-                                opts=opts, check_box=False)
+    roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), opts=opts,
+                                check_box=False)
     want_index = 0 if which in ("strict_min_pos", "strict_min_neg") else g.ell
     strict = any(r.nondegenerate and r.morse_index == want_index for r in roots)
     if strict:
@@ -183,7 +173,6 @@ def estimate_threshold(
     tol: float,
     opts: SolveOptions | None = None,
     box=None,
-    grid_n: int | None = None,
 ) -> ThresholdEstimate:
     """Bisect the coupling at which the certificate for ``which`` changes.
 
@@ -200,8 +189,8 @@ def estimate_threshold(
     a, b = float(bracket[0]), float(bracket[1])
     if a >= b:
         raise ValueError("bracket must be increasing")
-    cert_a, kind_a = _certificate(g, f, a, which, box, grid_n, opts)
-    cert_b, kind_b = _certificate(g, f, b, which, box, grid_n, opts)
+    cert_a, kind_a = _certificate(g, f, a, which, box, opts)
+    cert_b, kind_b = _certificate(g, f, b, which, box, opts)
     if cert_a == cert_b:
         raise SolverError(
             "bracket endpoints do not straddle the certificate change "
@@ -213,7 +202,7 @@ def estimate_threshold(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        cert_mid, kind_mid = _certificate(g, f, mid, which, box, grid_n, opts)
+        cert_mid, kind_mid = _certificate(g, f, mid, which, box, opts)
         if kind_mid != "none":
             kinds.add(kind_mid)
         if cert_mid == cert_a:

@@ -198,14 +198,13 @@ def multiplicity_audit(
     model: ScalarModel,
     radius: float | None = None,
     opts: SolveOptions | None = None,
-    grid_n: int | None = None,
 ) -> MultiplicityAudit:
     """Audit the forced-multiplicity arithmetic for a scalar model."""
     fbar = average(g, model.f)
     expected = expected_degree_scalar(model.lam, fbar)
     if expected is None:
         raise ValueError("multiplicity audit requires lam * mean(f) != 0")
-    report = degree_by_enumeration(g, model, radius=radius, opts=opts, grid_n=grid_n)
+    report = degree_by_enumeration(g, model, radius=radius, opts=opts)
     n = g.ell
     mins = [r for r in report.roots if r.nondegenerate and r.morse_index == 0]
     maxs = [r for r in report.roots if r.nondegenerate and r.morse_index == n]

@@ -64,6 +64,8 @@ class ScalarModel:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
         if int(self.p) != self.p or self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", int(self.p))

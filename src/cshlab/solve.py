@@ -6,16 +6,18 @@ over the box (:mod:`cshlab.interval` for the outward-rounded bounds) excludes
 boxes that provably hold no root, includes by the Krawczyk test boxes that
 provably hold exactly one, and bisects the rest in a depth-first worklist
 handled in chunks of at most ``_BOX_CHUNK`` boxes, so its memory is bounded
-by construction.  Newton then polishes the midpoint of every included box,
-one seed per cluster of unresolved boxes (degenerate roots, continua) and
-the caller's warm starts.  A run is certified when no box is left
-unresolved and every root is nondegenerate; ``seed_cap`` also caps the
-number of boxes processed.
+by construction.  Newton then polishes the midpoint of every included box
+and one seed per cluster of unresolved boxes (degenerate roots, continua).
+A run is certified when no box is left unresolved and every root is
+nondegenerate; ``seed_cap`` also caps the number of boxes processed, and
+the box must be finite.  This is the only scalar enumeration that the
+degree, continuation and command-line layers run.
 
 With ``grid_n``, and always for the system model, enumeration seeds Newton
 from grids instead; its completeness is empirical: a grid whose refinement
 by doubling produces no new roots is declared stable, and reports carry the
-grid parameters used.
+grid parameters used.  For a scalar model the grid path is the reference the
+certified path is tested against.
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
 on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
@@ -28,11 +30,13 @@ rows, the rest are solved in one stacked call again and only the singular
 rows take a least-squares step: one ``lstsq`` call per distinct singular
 Jacobian, with the right-hand sides of the rows sharing it as columns (in
 the far field of the seeding box every singular Jacobian is the same -L).
-The backtracking ladder 1, d, d^2, ... is tested in blocks of 1, 1, 2, 4, ...
+The backtracking ladder 1, d, d^2, ... >= 1e-12 (d = 0.5, built once at
+import; Armijo constant 1e-4) is tested in blocks of 1, 1, 2, 4, ...
 step lengths, each block one stacked residual call over the rows still
 searching; every row accepts the first step length of the ladder that passes
 the Armijo test, as a one-at-a-time search would, and no block holds more
-trial rows than the full-step round.  Row sup norms fold the short last axis
+trial rows than the full-step round.  Converged rows then take up to six
+full polish steps while the residual drops.  Row sup norms fold the short last axis
 column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
 its converged rows into the known roots with one greedy sup-norm dedup pass
 over both (known rows first, so a re-found root replaces a known one only
@@ -50,9 +54,10 @@ stalled, the iterate left the admissible range, or max_iter was exceeded).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -98,42 +103,49 @@ __all__ = [
 _SEED_WINDOW = 45.0
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SolveOptions:
-    """Tolerances and budgets shared by the solver entry points."""
+    """Tolerances and budgets shared by the solver entry points.
+
+    Every field is checked on construction; a value of the wrong type or
+    out of range raises ``ValueError`` naming the field.
+    """
 
     tol_residual: float = 1e-12
     max_iter: int = 200
-    damping: float = 0.5
-    armijo: float = 1e-4
     dedup_tol: float = 1e-6
     seed_cap: int = 10_000_000
     max_refinements: int = 1
     core_window: tuple[float, float] = (-12.0, 4.0)
-    polish_steps: int = 6
     rng_seed: int = 0
     check_callbacks: bool = False
 
     def __post_init__(self):
         for name in ("tol_residual", "dedup_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError("armijo must lie in (0, 1)")
+            if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("max_iter", "max_refinements", "seed_cap", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.check_callbacks, bool):
+            raise ValueError(f"check_callbacks must be a bool, got {self.check_callbacks!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be non-negative")
-        if self.polish_steps < 0:
-            raise ValueError("polish_steps must be non-negative")
         if self.seed_cap < 1:
             raise ValueError("seed_cap must be at least 1")
-        lo, hi = self.core_window
-        if not lo < hi:
-            raise ValueError("core_window must be (lo, hi) with lo < hi")
+        window = self.core_window
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and all(_is_real(x) and math.isfinite(x) for x in window)
+                and window[0] < window[1]):
+            raise ValueError(f"core_window must be two finite numbers lo < hi, got {window!r}")
         if self.dedup_tol <= 10.0 * self.tol_residual:
             warnings.warn(
                 "dedup_tol is within a decade of tol_residual; "
@@ -347,6 +359,14 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
 # row status codes
 _RUNNING, _CONVERGED, _STALLED, _DIVERGED, _EXHAUSTED = 0, 1, 2, 3, 4
 
+# Newton line search: backtracking factor d, Armijo decrease constant and
+# the step lengths 1, d, ..., d^39 = 1.8e-12, the last one >= 1e-12 (powers
+# of 1/2 are exact, so each equals the one a shrink-per-round loop reaches)
+_DAMPING, _ARMIJO = 0.5, 1e-4
+_LADDER = _DAMPING ** np.arange(40)
+# full Newton steps taken after convergence while the residual drops
+_POLISH_STEPS = 6
+
 # Jacobian entries per Newton chunk: 2**18 float64 entries are 2 MiB, e.g.
 # 16,384 rows at n = 4.  Each chunk runs as many rounds as its slowest row,
 # so small chunks repeat the per-round overhead: of 2**14, 2**16, 2**18,
@@ -385,12 +405,6 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
     status[~np.isfinite(nF)] = _DIVERGED
     pseudo = np.zeros(N, dtype=bool)
     iters = np.zeros(N, dtype=np.int32)
-    # backtracking step lengths 1, d, d^2, ... >= 1e-12, built by repeated
-    # multiplication so each equals the one a shrink-per-round loop reaches
-    ladder = [1.0]
-    while ladder[-1] * opts.damping >= 1e-12:
-        ladder.append(ladder[-1] * opts.damping)
-    ladder = np.array(ladder)
     # plateau detection: rows that fail to halve their residual across a
     # checkpoint window are circling a positive floor (no root nearby) and
     # are retired early; converging rows reduce at least geometrically
@@ -422,13 +436,13 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
         base_norm = nF[live]
         rows = np.arange(live.size)  # rows of live still searching
         pos = 0
-        while rows.size and pos < ladder.size:
-            width = min(max(pos, 1), live.size // rows.size, ladder.size - pos)
-            t = ladder[pos:pos + width]
+        while rows.size and pos < _LADDER.size:
+            width = min(max(pos, 1), live.size // rows.size, _LADDER.size - pos)
+            t = _LADDER[pos:pos + width]
             trial = base[rows, None] + t[:, None] * steps[rows, None]
             Ft = _residual_rows(problem, trial.reshape(-1, X.shape[1])).reshape(trial.shape)
             nFt = _norms(Ft)
-            ok = nFt <= (1.0 - opts.armijo * t) * base_norm[rows, None]
+            ok = nFt <= (1.0 - _ARMIJO * t) * base_norm[rows, None]
             found = ok.any(axis=1)
             hit = np.nonzero(found)[0]
             first = ok[hit].argmax(axis=1)  # each row's first passing step
@@ -445,7 +459,7 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
     # polish converged rows with full steps while the residual still drops;
     # this pushes roots to the floating-point floor, well below tol_residual
     conv = np.nonzero(status == _CONVERGED)[0]
-    for _ in range(opts.polish_steps):
+    for _ in range(_POLISH_STEPS):
         if conv.size == 0:
             break
         psub = pseudo[conv].copy()
@@ -618,6 +632,9 @@ def _normalize_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = _broadcast(lo, n), _broadcast(hi, n)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ValueError(f"box bounds must be scalars or length-{n} arrays")
+    # NaN compares False both ways, so the ordering test below would pass it
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise ValueError("box bounds must not be NaN")
     if np.any(hi <= lo):
         raise ValueError("box upper bounds must exceed lower bounds")
     return lo, hi
@@ -639,7 +656,7 @@ def _grid_seeds(lo: np.ndarray, hi: np.ndarray, grid_n: int) -> np.ndarray:
 
 
 def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions,
-              extra: list[np.ndarray], include_box_net: bool = True) -> np.ndarray:
+              include_box_net: bool = True) -> np.ndarray:
     n = problem.n
     lo, hi = _seed_box(box_lo, box_hi)
     parts = []
@@ -651,12 +668,12 @@ def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions
         parts.append(_grid_seeds(core_lo, core_hi, grid_n))
     # the exact constant roots stay seeded: with f = 0 at lam = -2 the root
     # u = 0 is degenerate, Newton nears it only linearly and only the exact
-    # anchor recovers it (test_sweep_zero_source_keeps_trivial_root)
+    # anchor recovers it (K2, box [-4, 3], grid_n = 41: without the anchors
+    # the nearest root found lies 3.3e-7 from 0)
     for a in problem.anchors():
         a = np.asarray(a, dtype=float)
         if a.shape == (n,) and np.all(a >= box_lo - 1e-9) and np.all(a <= box_hi + 1e-9):
             parts.append(a[None, :])
-    parts.extend(extra)
     if not parts:
         return np.empty((0, n))
     return np.vstack(parts)
@@ -695,21 +712,21 @@ def enumerate_report(
     box=None,
     grid_n: int | None = None,
     opts: SolveOptions | None = None,
-    extra_seeds: Sequence[np.ndarray] | None = None,
     check_box: bool = True,
 ) -> EnumerationReport:
     """Enumeration of all roots in a box: certified for the scalar model.
 
     For a :class:`ScalarModel` without ``grid_n`` the box is searched by
     interval branch and prune (:func:`_branch_and_prune`), and every root
-    comes from Newton polishing a box that provably holds one, an unresolved
-    region, or a caller warm start.
+    comes from Newton polishing a box that provably holds one or an
+    unresolved region; its box must be finite (``ValueError`` otherwise).
 
-    With ``grid_n``, and always for the system model, seeds come in four
+    With ``grid_n``, and always for the system model, seeds come in three
     families: a uniform grid over the box (the box net, base level only), a
     grid over the core window where the nonlinearity actually turns (the core
-    grid), the exact constant roots inside the box when available (the
-    anchors), and any caller warm starts.  After the base level the core grid
+    grid) and the exact constant roots inside the box when available (the
+    anchors).  The grid path clips its seeds to ``[-45, 45]``, so it accepts
+    infinite bounds.  A box with a NaN bound raises ``ValueError``.  After the base level the core grid
     is refined by doubling up to ``opts.max_refinements`` times; the run is
     declared stable when a refinement produces no root farther than
     ``dedup_tol`` from the known set.
@@ -723,6 +740,9 @@ def enumerate_report(
                              "and lam * mean(f) != 0); pass box explicitly")
         box = (-radius, radius)
     lo, hi = _normalize_box(box, problem.n)
+    certified = grid_n is None and isinstance(model, ScalarModel)
+    if certified and not np.all(np.isfinite([lo, hi])):
+        raise ValueError("certified enumeration needs a finite box")
     if check_box and radius is not None:
         slack = 1e-6 * (1.0 + radius)
         if np.any(lo > -radius + slack) or np.any(hi < radius - slack):
@@ -731,10 +751,8 @@ def enumerate_report(
                 "roots outside the box will be missed",
                 stacklevel=2,
             )
-    extra = [np.clip(np.asarray(e, dtype=float).reshape(-1, problem.n), lo, hi)
-             for e in (extra_seeds or [])]
-    if grid_n is None and isinstance(model, ScalarModel):
-        return _certified_report(g, model, problem, lo, hi, opts, extra)
+    if certified:
+        return _certified_report(g, model, problem, lo, hi, opts)
 
     level = grid_n if grid_n is not None else default_grid_n(problem.n, problem.pair)
     if level < 2:
@@ -755,8 +773,7 @@ def enumerate_report(
                     f"seed budget exceeded: {grid_size} grid seeds > cap {opts.seed_cap}"
                 )
             break
-        seeds = _seed_set(problem, lo, hi, level, opts, extra,
-                          include_box_net=(refinement == 0))
+        seeds = _seed_set(problem, lo, hi, level, opts, include_box_net=(refinement == 0))
         if len(seeds) > opts.seed_cap:
             if refinement == 0:
                 raise SolverError(
@@ -901,13 +918,12 @@ def _cluster_seeds(problem: _Problem, lo: np.ndarray, hi: np.ndarray, tol: float
 
 
 def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: np.ndarray,
-                      hi: np.ndarray, opts: SolveOptions, extra: list[np.ndarray]
-                      ) -> EnumerationReport:
+                      hi: np.ndarray, opts: SolveOptions) -> EnumerationReport:
     """Branch and prune over the box, then Newton polish of what it found.
 
     Polished rows: the midpoint of every included box, one seed per cluster
-    of unresolved boxes, the constant roots inside an unresolved box, and the
-    caller's warm starts; they merge through the same dedup as grid levels.
+    of unresolved boxes and the constant roots inside an unresolved box;
+    they merge through the same dedup as grid levels.
     An included box whose polished row does not converge inside it counts as
     unresolved (an included box at the edge may hold a root just outside the
     search box; that root is found but not reported, as on the grid path).  A report is certified only when no box is unresolved and
@@ -920,7 +936,7 @@ def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: n
                if np.any(_in_box(a, unr_lo, unr_hi, opts.dedup_tol))]
     seeds = np.vstack([inc_lo + 0.5 * (inc_hi - inc_lo),
                        _cluster_seeds(problem, unr_lo, unr_hi, opts.dedup_tol),
-                       np.reshape(anchors, (-1, problem.n)), *extra])
+                       np.reshape(anchors, (-1, problem.n))])
     rows = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
             np.empty(0, dtype=np.int32)]
     unresolved = len(unr_lo)
@@ -966,7 +982,6 @@ def enumerate_solutions(
     box=None,
     grid_n: int | None = None,
     opts: SolveOptions | None = None,
-    extra_seeds: Sequence[np.ndarray] | None = None,
     check_box: bool = True,
 ) -> list[ClassifiedSolution]:
     """Deduplicated, classified roots in the box, sorted lexicographically on
@@ -975,7 +990,7 @@ def enumerate_solutions(
     ``check_box`` controls the warning raised when the box is smaller than
     the a priori radius; callers scanning sub-windows on purpose disable it.
     """
-    return enumerate_report(g, model, box, grid_n, opts, extra_seeds, check_box).roots
+    return enumerate_report(g, model, box, grid_n, opts, check_box).roots
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1032,12 @@ def box_extremize(
     polishes the interior extremizer and certifies its type.
 
     The polish is :func:`newton` on ``gradient`` with ``hessian`` as its
-    Jacobian (central differences of ``gradient`` when omitted), under
-    ``opts``: the extremizer must lie inside the exp guard [-700, 700], the
-    Hessian must be symmetric at the root, and with ``opts.check_callbacks``
-    ``hessian`` is checked against differences of ``gradient`` first
+    Jacobian (central differences of ``gradient`` when omitted), under the
+    tolerance and iteration budget of ``opts`` and Newton's fixed line search
+    and six polish steps: the extremizer must lie inside the exp guard
+    [-700, 700], the Hessian must be symmetric at the root, and with
+    ``opts.check_callbacks`` ``hessian`` is checked against differences of
+    ``gradient`` first
     (``ValueError`` on any of these).  ``solution`` is the classified root
     ``newton`` returns (unit vertex measure).  A polish that fails, or that
     ends on or outside the box, raises :class:`SolverError`.

@@ -15,6 +15,7 @@ from cshlab import (
     ScalarModel,
     SolveOptions,
     SolverError,
+    SystemModel,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -187,31 +188,6 @@ def test_degenerate_root_is_found_but_not_certified():
     assert not rep.certified and rep.degenerate_roots >= 1
 
 
-def test_certified_run_polishes_caller_seeds():
-    g = GRAPHS["K2"]
-    m = ScalarModel(lam=-10.0, f=np.ones(2))
-    base = enumerate_report(g, m)
-    extra = [np.array([0.3, -0.2]), np.array([[5.0, 5.0], [1e3, -1e3]])]
-    seen = []
-    real = solve_mod._newton_batch
-
-    def spy(problem, seeds, opts):
-        seen.append(np.array(seeds))
-        return real(problem, seeds, opts)
-
-    solve_mod._newton_batch = spy
-    try:
-        rep = enumerate_report(g, m, extra_seeds=extra)
-    finally:
-        solve_mod._newton_batch = real
-    assert rep.certified and rep.seeds_used == base.seeds_used + 3
-    (rows,) = seen
-    # warm starts are clipped into the box, as on the grid path
-    lo, hi = rep.box
-    assert np.array_equal(rows[-3:], np.clip([[0.3, -0.2], [5.0, 5.0], [1e3, -1e3]], lo, hi))
-    _assert_same_roots(rep.roots, base.roots)
-
-
 def test_included_box_without_its_root_is_unresolved(monkeypatch):
     # a polish that fails for the first included box must cost the
     # certificate, not silently drop that box's root
@@ -227,6 +203,35 @@ def test_included_box_without_its_root_is_unresolved(monkeypatch):
     monkeypatch.setattr(solve_mod, "_newton_batch", stall_first)
     rep = enumerate_report(g, m)
     assert rep.unresolved == 1 and not rep.certified and not rep.stable
+
+
+def test_non_finite_box_bounds():
+    g = GRAPHS["K2"]
+    m = ScalarModel(lam=-10.0, f=np.ones(2))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    # NaN compares False both ways: it passed the ordering check and gave an
+    # empty certified report; every path rejects it
+    for model, grid_n, box in ((m, None, (np.nan, 3.0)), (m, None, ([-3.0, np.nan], 3.0)),
+                               (m, 5, (-3.0, np.nan)), (s, 5, (np.nan, 3.0))):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            enumerate_report(g, model, box=box, grid_n=grid_n, check_box=False)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        degree_by_enumeration(g, m, radius=np.nan)
+    # branch and prune never finished on an infinite box
+    for box in ((-3.0, np.inf), (-np.inf, 3.0), ([-3.0, -np.inf], np.inf)):
+        with pytest.raises(ValueError, match="needs a finite box"):
+            enumerate_report(g, m, box=box, check_box=False)
+    with pytest.raises(ValueError, match="needs a finite box"):
+        degree_by_enumeration(g, m, radius=np.inf)
+    # the grid path seeds inside [-45, 45] and keeps an infinite bound (an
+    # overflowing system bound can be one): the seeds and roots of ±45
+    finite = enumerate_report(g, m, box=(-45.0, 45.0), grid_n=9, check_box=False)
+    infinite = enumerate_report(g, m, box=(-np.inf, np.inf), grid_n=9, check_box=False)
+    assert infinite.seeds_used == finite.seeds_used
+    assert [r.point.tobytes() for r in infinite.roots] == [r.point.tobytes() for r in finite.roots]
+    assert len(infinite.roots) == 3
+    rep = degree_by_enumeration(g, s, radius=np.inf, grid_n=5)
+    assert rep.computed_degree == 0 and not rep.roots
 
 
 def test_continuum_of_roots_exceeds_the_box_budget():

@@ -84,7 +84,7 @@ def test_enumerate_emits_roots_and_summary(tmp_path, k2_path, capsys):
         "model": "scalar",
         "parameters": {"lambda": -10.0},
         "source": {"f": {"constant": -1.0}},
-        "enumerate": {"box": [-8.0, 3.0], "grid": 21},
+        "enumerate": {"box": [-8.0, 3.0]},
     })
     with pytest.warns(UserWarning, match="a priori"):
         code, records = _run(["enumerate", "--graph", k2_path, "--config", cfg], capsys)
@@ -110,16 +110,20 @@ def test_records_carry_certification(tmp_path, k2_path, capsys):
     code, records = _run(["degree", "--graph", k2_path,
                           "--config", _write_config(tmp_path, scalar)], capsys)
     assert code == 0 and records[0]["certified"] is True
-    # a grid asks for the grid path, which is never certified
-    gridded = {**scalar, "enumerate": {"grid": 21}, "degree": {"grid": 21}}
+    # a system config's grid is honoured; the grid path is never certified
+    system = {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
+              "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}}}
+    gridded = {**system, "enumerate": {"box": [-3.0, 3.0], "grid": 5},
+               "degree": {"radius": 3.0, "grid": 5}}
     code, records = _run(["enumerate", "--graph", k2_path,
                           "--config", _write_config(tmp_path, gridded)], capsys)
     summary = records[-1]
-    assert summary["certified"] is False and summary["boxes"] == 0
-    assert summary["unresolved"] == 0 and summary["grid_levels"] == [21, 41]
+    assert code == 0 and summary["certified"] is False and summary["boxes"] == 0
+    assert summary["unresolved"] == 0 and summary["grid_levels"] == [5, 9]
     code, records = _run(["degree", "--graph", k2_path,
                           "--config", _write_config(tmp_path, gridded)], capsys)
     assert code == 0 and records[0]["certified"] is False
+    assert records[0]["grid_levels"] == [5, 9]
 
 
 def test_sweep_csv(tmp_path, k2_path, capsys):
@@ -127,7 +131,7 @@ def test_sweep_csv(tmp_path, k2_path, capsys):
         "model": "scalar",
         "parameters": {"lambda": -10.0},
         "source": {"f": {"constant": -1.0}},
-        "sweep": {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0], "grid": 21},
+        "sweep": {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0]},
     })
     code = main(["sweep", "--graph", k2_path, "--config", cfg])
     out = capsys.readouterr().out.splitlines()
@@ -169,17 +173,25 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     })
     assert main(["degree", "--graph", k2_path, "--config", cfg3]) == 2
     capsys.readouterr()
-    # tolerances that would silently skip every grid level
-    cfg4 = _write_config(tmp_path, {
-        "model": "scalar",
-        "parameters": {"lambda": -10.0},
-        "source": {"f": {"constant": 1.0}},
-        "tolerances": {"max_refinements": -1},
-    })
-    assert main(["degree", "--graph", k2_path, "--config", cfg4]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bad tolerances: max_refinements must be non-negative" in captured.err
+    # tolerances that would silently skip every grid level, end in a
+    # TypeError traceback (2.5 iterations), or be misread ("no" as true)
+    for tolerances, message in (
+        ({"max_refinements": -1}, "max_refinements must be non-negative"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_refinements": 0.5}, "max_refinements must be an integer, got 0.5"),
+        ({"check_callbacks": "no"}, "check_callbacks must be a bool, got 'no'"),
+        ({"core_window": "ab"}, "core_window must be two finite numbers lo < hi, got 'ab'"),
+    ):
+        cfg4 = _write_config(tmp_path, {
+            "model": "scalar",
+            "parameters": {"lambda": -10.0},
+            "source": {"f": {"constant": 1.0}},
+            "tolerances": tolerances,
+        })
+        assert main(["degree", "--graph", k2_path, "--config", cfg4]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad tolerances: {message}" in captured.err
     # a fractional, null or string power or a fractional sweep step count is
     # rejected, not rounded down or converted
     for p, message in ((1.5, "got 1.5"), (None, "NoneType"), ("2", "got '2'")):
@@ -212,8 +224,21 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("sweep", scalar, {"sweep": {**sweep, "range": [None, -5.5]}}, "sweep range must be"),
         ("enumerate", scalar, {"enumerate": {"box": [None, 3]}}, "box must be a number"),
         ("enumerate", scalar, {"enumerate": {"box": 3.0}}, "box must be [lo, hi]"),
-        ("enumerate", scalar, {"enumerate": {"grid": "11"}}, "grid must be a positive integer"),
-        ("enumerate", scalar, {"enumerate": {"grid": 7.5}}, "grid must be a positive integer"),
+        ("enumerate", system, {"enumerate": {"box": [-3, 3], "grid": "11"}},
+         "grid must be a positive integer"),
+        ("enumerate", system, {"enumerate": {"box": [-3, 3], "grid": 7.5}},
+         "grid must be a positive integer"),
+        # scalar enumeration is certified branch and prune: a grid is not ignored
+        ("enumerate", scalar, {"enumerate": {"grid": 21}}, "grid applies only to the system"),
+        ("degree", scalar, {"degree": {"grid": 21}}, "grid applies only to the system"),
+        ("sweep", scalar, {"sweep": {**sweep, "grid": 21}}, "grid applies only to the system"),
+        # non-finite bounds: NaN passed the ordering check (an empty certified
+        # report), an infinite bound never finished
+        ("enumerate", scalar, {"enumerate": {"box": [float("nan"), 3.0]}}, "must not be NaN"),
+        ("degree", scalar, {"degree": {"radius": float("nan")}}, "must not be NaN"),
+        ("enumerate", scalar, {"enumerate": {"box": [-3.0, float("inf")]}}, "needs a finite box"),
+        ("degree", scalar, {"degree": {"radius": float("inf")}}, "needs a finite box"),
+        ("enumerate", scalar, {"parameters": {"lambda": float("nan")}}, "lam must be finite"),
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
         ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
          "sigma_grid must be a number"),
@@ -277,7 +302,7 @@ def test_output_deterministic_for_fixed_seed(tmp_path, k2_path, capsys):
         "model": "scalar",
         "parameters": {"lambda": -4.0},  # degenerate root: perturbation policy runs
         "source": {"f": {"constant": -1.0}},
-        "degree": {"radius": 8.0, "grid": 21},
+        "degree": {"radius": 8.0},
     })
     outs = []
     for _ in range(2):

@@ -27,6 +27,11 @@ def test_model_validation(k2):
         ScalarModel(lam=1.0, f=np.zeros(2), sigma=1.5)
     with pytest.raises(ValueError, match="finite"):
         ScalarModel(lam=1.0, f=np.array([np.inf, 0.0]))
+    # a NaN coupling used to run enumeration to the box budget, an infinite
+    # one to return an uncertified report
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            ScalarModel(lam=lam, f=np.ones(2))
 
 
 def test_residual_zero_at_origin(k2):

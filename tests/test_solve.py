@@ -46,20 +46,28 @@ from cshlab.solve import (
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol_residual=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(damping=1.0)
     # values under which an enumeration returned a wrong degree without an error
-    bad = [("max_iter", 0), ("max_iter", -3), ("max_refinements", -1), ("polish_steps", -1),
-           ("armijo", 0.0), ("armijo", 1.0), ("armijo", 2.0), ("armijo", float("nan")),
+    bad = [("max_iter", 0), ("max_iter", -3), ("max_refinements", -1),
            ("seed_cap", 0), ("core_window", (4.0, 4.0)), ("core_window", (4.0, -12.0)),
            ("tol_residual", float("nan")), ("tol_residual", float("inf")),
            ("dedup_tol", 0.0), ("dedup_tol", -1.0), ("dedup_tol", float("nan")),
            ("dedup_tol", float("inf"))]
+    # values of the wrong type, which used to pass and fail later (2.5 in
+    # range(), "no" read as true) or never be noticed ("ab" as a window)
+    bad += [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"),
+            ("max_refinements", 0.5), ("seed_cap", 1e6), ("seed_cap", None),
+            ("rng_seed", 1.5), ("rng_seed", False), ("check_callbacks", "no"),
+            ("check_callbacks", 1), ("core_window", "ab"), ("core_window", (-1.0,)),
+            ("core_window", (-1.0, 0.0, 1.0)), ("core_window", ("a", "b")),
+            ("core_window", (-float("inf"), 4.0)), ("core_window", (float("nan"), 4.0)),
+            ("core_window", (False, True)), ("core_window", 4.0), ("tol_residual", "1e-12"),
+            ("dedup_tol", True)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
-    SolveOptions(max_iter=1, max_refinements=0, polish_steps=0, armijo=0.5, seed_cap=1,
-                 core_window=(-1.0, 1.0))
+    SolveOptions(max_iter=1, max_refinements=0, seed_cap=1, core_window=(-1.0, 1.0),
+                 rng_seed=np.int64(3), check_callbacks=True)
+    SolveOptions(max_iter=np.int32(5), core_window=[-1, 1], tol_residual=1e-10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SolveOptions(dedup_tol=1e-12)
@@ -728,7 +736,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
             stats["guard_exits"] += int((np.abs(trial).max(axis=-1) > EXP_GUARD).sum())
             Ft = _residual_rows(problem, trial)
             nFt = _norms(Ft)
-            ok = nFt <= (1.0 - opts.armijo * t[rows]) * base_norm[rows]
+            ok = nFt <= (1.0 - solve_mod._ARMIJO * t[rows]) * base_norm[rows]
             good = rows[ok]
             stats["accepted_t"].update(t[good].tolist())
             gi = live[good]
@@ -737,7 +745,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
             nF[gi] = nFt[ok]
             pending[good] = False
             shrink = rows[~ok]
-            t[shrink] *= opts.damping
+            t[shrink] *= solve_mod._DAMPING
             dead = shrink[t[shrink] < tmin]
             stats["ladder_stalls"] += dead.size
             status[live[dead]] = solve_mod._STALLED
@@ -745,7 +753,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
     status[(status == running_code) & (nF <= opts.tol_residual)] = conv_code
     status[status == running_code] = solve_mod._EXHAUSTED
     conv = np.nonzero(status == conv_code)[0]
-    for _ in range(opts.polish_steps):
+    for _ in range(solve_mod._POLISH_STEPS):
         if conv.size == 0:
             break
         psub = pseudo[conv].copy()
@@ -848,7 +856,7 @@ def _c4_seeds():
     problem = solve_mod._make_problem(g, m)
     radius = apriori_radius(g, m).radius
     seeds = solve_mod._seed_set(problem, np.full(4, -radius), np.full(4, radius),
-                                solve_mod.default_grid_n(4), SolveOptions(), [])
+                                solve_mod.default_grid_n(4), SolveOptions())
     return problem, seeds
 
 

@@ -360,6 +360,9 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
         raise ConfigError("the system command needs a system model")
     section = _section(cfg, "system")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
+    for s in sigma_grid:  # before the bound record: a config error emits nothing
+        if not 0.0 <= s <= 1.0:
+            raise ConfigError(f"sigma_grid values must lie in [0, 1], got {s}")
     grid_n = _grid(section, model)
     bound = _system_bound(g, model, section)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})

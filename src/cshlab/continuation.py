@@ -8,7 +8,8 @@ once by a midpoint sample).
 at which a strict-minimum or strict-maximum certificate appears, and checks
 the bracketing inequalities that the thresholds must satisfy against the sign
 of the source mean.  ``sigma_homotopy`` follows roots down a deformation
-path, reporting sup-norm growth and branch loss.
+path, reporting sup-norm growth and branch loss.  A ``box`` of None is
+passed through: :func:`~cshlab.solve.enumerate_report` picks the box.
 
 Empirical thresholds are exactly that: certificate changes observed by the
 solver; no tightness is claimed beyond the reported interval.
@@ -27,7 +28,6 @@ from .scalar import ScalarModel
 from .solve import (
     ClassifiedSolution,
     SolveOptions,
-    _apriori_radius_or_none,
     _dedup_points,
     _make_problem,
     _solve_one,
@@ -77,14 +77,6 @@ def _count_types(roots: list[ClassifiedSolution], n: int) -> dict[str, int]:
     return counts
 
 
-def _enumeration_box(g: WeightedGraph, model, box, opts: SolveOptions):
-    """The caller's box, else the a priori ball, else the core window."""
-    if box is not None:
-        return box
-    r = _apriori_radius_or_none(g, model)
-    return opts.core_window if r is None else (-r, r)
-
-
 def sweep_lambda(
     g: WeightedGraph,
     f: np.ndarray,
@@ -98,8 +90,8 @@ def sweep_lambda(
     """Enumerate roots along a coupling grid, each coupling on its own.
 
     Every coupling is enumerated by certified branch and prune over ``box``
-    (by default the a priori ball, else ``opts.core_window``).  The grid
-    never contains 0 (no residual map is defined there for degree
+    (by default its a priori ball; a model without one needs ``box``).  The
+    grid never contains 0 (no residual map is defined there for degree
     purposes); a range straddling 0 is simply sampled on both sides with the
     zero sample dropped.  Events mark Morse-type counts changing between
     consecutive grid points, and one midpoint sample is inserted next to each
@@ -114,8 +106,7 @@ def sweep_lambda(
 
     def record(lam: float) -> BranchRecord:
         m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-        roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), opts=opts,
-                                    check_box=False)
+        roots = enumerate_solutions(g, m, box=box, opts=opts, check_box=False)
         return BranchRecord(float(lam), roots, _count_types(roots, g.ell), [])
 
     records = [record(lam) for lam in values]
@@ -153,8 +144,7 @@ class ThresholdEstimate:
 
 def _certificate(g, f, lam: float, which: str, box, opts) -> tuple[bool, str]:
     m = ScalarModel(lam=float(lam), f=f)
-    roots = enumerate_solutions(g, m, box=_enumeration_box(g, m, box, opts), opts=opts,
-                                check_box=False)
+    roots = enumerate_solutions(g, m, box=box, opts=opts, check_box=False)
     want_index = 0 if which in ("strict_min_pos", "strict_min_neg") else g.ell
     strict = any(r.nondegenerate and r.morse_index == want_index for r in roots)
     if strict:
@@ -182,9 +172,12 @@ def estimate_threshold(
     least ``4 mean(f)`` when the mean is positive, and the negative-minimum
     threshold is at most ``4 mean(f)`` when the mean is negative; a violated
     check flags the run as inconsistent (a solver bug, not a math failure).
+    ``tol``, the width at which bisection stops, must be finite and > 0.
     """
     if which not in THRESHOLD_KINDS:
         raise ValueError(f"which must be one of {THRESHOLD_KINDS}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     opts = opts or SolveOptions()
     a, b = float(bracket[0]), float(bracket[1])
     if a >= b:
@@ -238,12 +231,12 @@ def sigma_homotopy(
     opts: SolveOptions | None = None,
     seeds=None,
     box=None,
-    grid_n: int | None = None,
 ) -> list[BranchRecord]:
     """Track roots along a deformation path in sigma.
 
-    The first slice is seeded by enumeration (or by the caller's seeds); each
-    later slice polishes the previous slice's roots.  Events record lost
+    The first slice is seeded by enumeration over ``box`` (as in
+    :func:`sweep_lambda`) or by the caller's seeds; each later slice
+    polishes the previous slice's roots.  Events record lost
     branches and the sup-norm growth rate per unit ``ln(1/sigma)`` when the
     path descends; roots of the undeformed scalar model with zero source sit
     at ``ln(sigma)``, so that rate approaching 1 is the expected blow-up.
@@ -265,8 +258,7 @@ def sigma_homotopy(
             [t for t in (_polish(g, first, s, opts) for s in seeds.reshape(-1, n))
              if t is not None], opts.dedup_tol)
     else:
-        tracked = enumerate_solutions(g, first, box=_enumeration_box(g, first, box, opts),
-                                      grid_n=grid_n, opts=opts)
+        tracked = enumerate_solutions(g, first, box=box, opts=opts)
     records.append(BranchRecord(sigma_path[0], list(tracked), _count_types(tracked, n), []))
 
     for prev_sigma, sigma in zip(sigma_path, sigma_path[1:]):

@@ -15,7 +15,6 @@ and ``||u||_inf + ||v||_inf < R`` for the system.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .solve import (
     ClassifiedSolution,
     EnumerationReport,
     SolveOptions,
-    _apriori_radius_or_none,
     enumerate_report,
 )
 from .system import SystemModel
@@ -122,41 +120,29 @@ def degree_by_enumeration(
 ) -> DegreeReport:
     """Sum of root orientation signs over the ball of the given radius.
 
-    The radius defaults to the a priori bound for scalar models with
-    ``lam * mean(f) != 0``; passing a smaller radius than the bound only earns
-    a warning, since shrinking the ball is how one probes localization.  If
-    degenerate roots poison the sign sum, the source is perturbed by a tiny
-    mean-preserving random direction and the run is repeated once; both
-    reports are returned (degree is stable under small perturbations, Morse
-    data is not).
+    The ball is searched as the box ``(-radius, radius)``; without a radius
+    :func:`~cshlab.solve.enumerate_report` picks the box (the a priori ball,
+    else ``ValueError``: system models need the radius from
+    :func:`~cshlab.system.apriori_bound_system`).  A radius smaller than the
+    a priori bound only earns its warning, since shrinking the ball is how
+    one probes localization.  If degenerate roots poison the sign sum, the
+    source is perturbed by a tiny mean-preserving random direction and the
+    run is repeated once over the same ball; both reports are returned
+    (degree is stable under small perturbations, Morse data is not).
     """
     opts = opts or SolveOptions()
     expected: int | None = None
     if isinstance(model, ScalarModel):
-        fbar = average(g, model.f)
-        expected = expected_degree_scalar(model.lam, fbar)
-        apriori = _apriori_radius_or_none(g, model)
-        if radius is None:
-            if apriori is None:
-                raise ValueError("no a priori bound (it needs p = 1, sigma = 1 and "
-                                 "lam * mean(f) != 0); pass radius explicitly")
-            radius = apriori
-        elif apriori is not None and radius < apriori:
-            warnings.warn(
-                f"radius {radius} is below the a priori bound {apriori:.3g}; "
-                "roots may fall outside the ball",
-                stacklevel=2,
-            )
+        expected = expected_degree_scalar(model.lam, average(g, model.f))
     elif isinstance(model, SystemModel):
-        if radius is None:
-            raise ValueError("pass the radius from apriori_bound_system for system models")
         if average(g, model.f) > 0.0 and average(g, model.g) > 0.0:
             expected = 0
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
-    enum = enumerate_report(g, model, box=(-radius, radius), grid_n=grid_n, opts=opts,
-                            check_box=False)
+    box = None if radius is None else (-radius, radius)
+    enum = enumerate_report(g, model, box=box, grid_n=grid_n, opts=opts)
+    radius = float(enum.box[1][0])
     report = _report_from_enumeration(model, radius, enum, expected)
 
     if report.degenerate_roots and isinstance(model, ScalarModel):

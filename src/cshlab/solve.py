@@ -101,6 +101,10 @@ __all__ = [
 # and no root in the models at hand can carry a larger positive component, so
 # seeding outside the window only duplicates basins already covered.
 _SEED_WINDOW = 45.0
+# The grid path also seeds this window, where the exponentials turn, and
+# refines that core grid by doubling this many times.
+_CORE_WINDOW = (-12.0, 4.0)
+_REFINEMENTS = 1
 
 
 def _is_real(value) -> bool:
@@ -119,8 +123,6 @@ class SolveOptions:
     max_iter: int = 200
     dedup_tol: float = 1e-6
     seed_cap: int = 10_000_000
-    max_refinements: int = 1
-    core_window: tuple[float, float] = (-12.0, 4.0)
     rng_seed: int = 0
     check_callbacks: bool = False
 
@@ -129,7 +131,7 @@ class SolveOptions:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("max_iter", "max_refinements", "seed_cap", "rng_seed"):
+        for name in ("max_iter", "seed_cap", "rng_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -137,15 +139,8 @@ class SolveOptions:
             raise ValueError(f"check_callbacks must be a bool, got {self.check_callbacks!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be non-negative")
         if self.seed_cap < 1:
             raise ValueError("seed_cap must be at least 1")
-        window = self.core_window
-        if not (isinstance(window, (tuple, list)) and len(window) == 2
-                and all(_is_real(x) and math.isfinite(x) for x in window)
-                and window[0] < window[1]):
-            raise ValueError(f"core_window must be two finite numbers lo < hi, got {window!r}")
         if self.dedup_tol <= 10.0 * self.tol_residual:
             warnings.warn(
                 "dedup_tol is within a decade of tol_residual; "
@@ -197,13 +192,17 @@ class ClassifiedSolution:
         return tuple(1 if r == self.morse_index else 0 for r in range(self.n + 1))
 
 
-def morse_data(matrix: np.ndarray, mu: np.ndarray | None = None, rtol: float = 1e-8) -> MorseData:
+# Hessian eigenvalues below this fraction of the spectral radius: degenerate.
+_MORSE_RTOL = 1e-8
+
+
+def morse_data(matrix: np.ndarray, mu: np.ndarray | None = None) -> MorseData:
     """Classify a critical point from its energy Hessian.
 
     ``matrix`` must be symmetric in the mu-weighted inner product; it is
     conjugated by mu^(1/2) before the symmetric eigensolve.  The Morse index
-    counts negative eigenvalues; eigenvalues below ``rtol`` times the spectral
-    radius mark the point degenerate, with sign 0 and unknown critical groups.
+    counts negative eigenvalues; eigenvalues below ``_MORSE_RTOL`` times the
+    spectral radius mark the point degenerate, with sign 0 and unknown groups.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
@@ -216,7 +215,7 @@ def morse_data(matrix: np.ndarray, mu: np.ndarray | None = None, rtol: float = 1
     ev = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     spectral_radius = float(np.abs(ev).max()) if n else 0.0
     index = int((ev < 0.0).sum())
-    nondeg = spectral_radius > 0.0 and float(np.abs(ev).min()) > rtol * spectral_radius
+    nondeg = spectral_radius > 0.0 and float(np.abs(ev).min()) > _MORSE_RTOL * spectral_radius
     if nondeg:
         ranks = tuple(1 if r == index else 0 for r in range(n + 1))
         return MorseData(index, (-1) ** index, True, ranks)
@@ -655,15 +654,15 @@ def _grid_seeds(lo: np.ndarray, hi: np.ndarray, grid_n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int, opts: SolveOptions,
+def _seed_set(problem: _Problem, box_lo, box_hi, grid_n: int,
               include_box_net: bool = True) -> np.ndarray:
     n = problem.n
     lo, hi = _seed_box(box_lo, box_hi)
     parts = []
     if include_box_net:
         parts.append(_grid_seeds(lo, hi, grid_n))
-    core_lo = np.maximum(lo, opts.core_window[0])
-    core_hi = np.minimum(hi, opts.core_window[1])
+    core_lo = np.maximum(lo, _CORE_WINDOW[0])
+    core_hi = np.minimum(hi, _CORE_WINDOW[1])
     if np.all(core_hi > core_lo) and (np.any(core_lo > lo) or np.any(core_hi < hi) or not include_box_net):
         parts.append(_grid_seeds(core_lo, core_hi, grid_n))
     # the exact constant roots stay seeded: with f = 0 at lam = -2 the root
@@ -716,6 +715,11 @@ def enumerate_report(
 ) -> EnumerationReport:
     """Enumeration of all roots in a box: certified for the scalar model.
 
+    The one place that picks the search box, for every layer: the caller's
+    ``box``, else the a priori ball (-R, R), else ``ValueError`` (no bound:
+    system models, and scalar ones unless p = 1, sigma = 1, lam mean(f) != 0).
+    With ``check_box`` a box smaller than the ball earns a warning.
+
     For a :class:`ScalarModel` without ``grid_n`` the box is searched by
     interval branch and prune (:func:`_branch_and_prune`), and every root
     comes from Newton polishing a box that provably holds one or an
@@ -723,13 +727,13 @@ def enumerate_report(
 
     With ``grid_n``, and always for the system model, seeds come in three
     families: a uniform grid over the box (the box net, base level only), a
-    grid over the core window where the nonlinearity actually turns (the core
-    grid) and the exact constant roots inside the box when available (the
-    anchors).  The grid path clips its seeds to ``[-45, 45]``, so it accepts
-    infinite bounds.  A box with a NaN bound raises ``ValueError``.  After the base level the core grid
-    is refined by doubling up to ``opts.max_refinements`` times; the run is
-    declared stable when a refinement produces no root farther than
-    ``dedup_tol`` from the known set.
+    grid over ``_CORE_WINDOW`` where the nonlinearity actually turns (the
+    core grid) and the exact constant roots inside the box when available
+    (the anchors).  The grid path clips its seeds to ``[-45, 45]``, so it
+    accepts infinite bounds.  A box with a NaN bound raises ``ValueError``.
+    After the base level the core grid is refined by doubling
+    ``_REFINEMENTS`` times; the run is declared stable when a refinement
+    produces no root farther than ``dedup_tol`` from the known set.
     """
     opts = opts or SolveOptions()
     problem = _make_problem(g, model)
@@ -764,7 +768,7 @@ def enumerate_report(
     stable = False
     seeds_used = 0
 
-    for refinement in range(opts.max_refinements + 1):
+    for refinement in range(_REFINEMENTS + 1):
         # the grid alone has level**n distinct seeds: check before building it
         grid_size = int(level) ** problem.n
         if grid_size > opts.seed_cap:
@@ -773,7 +777,7 @@ def enumerate_report(
                     f"seed budget exceeded: {grid_size} grid seeds > cap {opts.seed_cap}"
                 )
             break
-        seeds = _seed_set(problem, lo, hi, level, opts, include_box_net=(refinement == 0))
+        seeds = _seed_set(problem, lo, hi, level, include_box_net=(refinement == 0))
         if len(seeds) > opts.seed_cap:
             if refinement == 0:
                 raise SolverError(
@@ -987,8 +991,7 @@ def enumerate_solutions(
     """Deduplicated, classified roots in the box, sorted lexicographically on
     coordinates rounded to ``dedup_tol``.
 
-    ``check_box`` controls the warning raised when the box is smaller than
-    the a priori radius; callers scanning sub-windows on purpose disable it.
+    The box and ``check_box`` follow :func:`enumerate_report`.
     """
     return enumerate_report(g, model, box, grid_n, opts, check_box).roots
 
@@ -1014,6 +1017,10 @@ class BoxExtremum:
     certificate: str | None
 
 
+# L-BFGS-B starts of box_extremize: centre, two quarter points, random points.
+_EXTREMIZE_STARTS = 8
+
+
 def box_extremize(
     energy: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
@@ -1022,7 +1029,6 @@ def box_extremize(
     mode: str = "min",
     opts: SolveOptions | None = None,
     hessian: Callable[[np.ndarray], np.ndarray] | None = None,
-    n_starts: int = 8,
 ) -> BoxExtremum:
     """Extremize ``energy`` over ``{lower <= x <= upper}`` componentwise.
 
@@ -1057,7 +1063,7 @@ def box_extremize(
 
     rng = np.random.default_rng(opts.rng_seed)
     starts = [0.5 * (lower + upper), lower + 0.25 * width, upper - 0.25 * width]
-    starts += [lower + rng.uniform(0.05, 0.95, size=n) * width for _ in range(max(0, n_starts - 3))]
+    starts += [lower + rng.uniform(0.05, 0.95, size=n) * width for _ in range(_EXTREMIZE_STARTS - 3)]
     for s in starts:
         if not np.isfinite(energy(s)):
             raise SolverError("non-finite energy inside the box")

@@ -13,7 +13,6 @@ import numpy as np
 import cshlab
 from cshlab import (
     ScalarModel,
-    SolveOptions,
     SystemModel,
     apriori_bound_system,
     apriori_radius,
@@ -254,25 +253,19 @@ def test_c13_threshold_bounds():
 
 def test_c14_apriori_containment():
     rng = np.random.default_rng(14)
-    light = SolveOptions(max_refinements=0)
     violations = []
-    scalar_cases = [
-        (complete_graph(2), lam, fbar, None) for lam, fbar, _ in PARAM_TABLE
-    ] + [
-        (path_graph(3), lam, fbar, None) for lam, fbar, _ in PARAM_TABLE
-    ] + [
-        (cycle_graph(4), lam, fbar, light) for lam, fbar, _ in PARAM_TABLE
-    ]
+    scalar_cases = [(g, lam, fbar) for g in (complete_graph(2), path_graph(3), cycle_graph(4))
+                    for lam, fbar, _ in PARAM_TABLE]
     for _ in range(8):
         lam = float(rng.uniform(2.0, 20.0) * rng.choice([-1.0, 1.0]))
         fbar = float(rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0]))
-        scalar_cases.append((complete_graph(2), lam, fbar, None))
+        scalar_cases.append((complete_graph(2), lam, fbar))
     total = 0
-    for g, lam, fbar, opts in scalar_cases:
+    for g, lam, fbar in scalar_cases:
         f = np.full(g.ell, fbar)
         m = ScalarModel(lam=lam, f=f)
         radius = apriori_radius(g, m).radius
-        for r in enumerate_solutions(g, m, box=(-radius, radius), opts=opts):
+        for r in enumerate_solutions(g, m, box=(-radius, radius)):
             total += 1
             if sup_norm(r.point) >= radius:
                 violations.append(("scalar", g.ell, lam, fbar))

@@ -173,14 +173,15 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     })
     assert main(["degree", "--graph", k2_path, "--config", cfg3]) == 2
     capsys.readouterr()
-    # tolerances that would silently skip every grid level, end in a
-    # TypeError traceback (2.5 iterations), or be misread ("no" as true)
+    # tolerances that would end in a TypeError traceback (2.5 iterations) or
+    # be misread ("no" as true), and the grid constants, which are no options
     for tolerances, message in (
-        ({"max_refinements": -1}, "max_refinements must be non-negative"),
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
-        ({"max_refinements": 0.5}, "max_refinements must be an integer, got 0.5"),
         ({"check_callbacks": "no"}, "check_callbacks must be a bool, got 'no'"),
-        ({"core_window": "ab"}, "core_window must be two finite numbers lo < hi, got 'ab'"),
+        ({"max_refinements": 0},
+         "SolveOptions.__init__() got an unexpected keyword argument 'max_refinements'"),
+        ({"core_window": [-12.0, 4.0]},
+         "SolveOptions.__init__() got an unexpected keyword argument 'core_window'"),
     ):
         cfg4 = _write_config(tmp_path, {
             "model": "scalar",
@@ -232,6 +233,9 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("enumerate", scalar, {"enumerate": {"grid": 21}}, "grid applies only to the system"),
         ("degree", scalar, {"degree": {"grid": 21}}, "grid applies only to the system"),
         ("sweep", scalar, {"sweep": {**sweep, "grid": 21}}, "grid applies only to the system"),
+        # mean(f) = 0: no a priori ball, so the sweep needs a box
+        ("sweep", {**scalar, "source": {"f": {"values": {"x1": 1.0, "x2": -1.0}}}},
+         {"sweep": {"range": [-4.5, -5.5], "steps": 2}}, "pass box explicitly"),
         # non-finite bounds: NaN passed the ordering check (an empty certified
         # report), an infinite bound never finished
         ("enumerate", scalar, {"enumerate": {"box": [float("nan"), 3.0]}}, "must not be NaN"),
@@ -242,6 +246,9 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
         ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
          "sigma_grid must be a number"),
+        # checked before the system_bound record, so nothing reaches stdout
+        *(("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [sg]}},
+           "sigma_grid values must lie in [0, 1]") for sg in (float("nan"), 1.5, -0.25)),
         ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
         ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
         ("solve", scalar, {"source": {"f": {"dirac": 3}}}, "dirac takes an object"),

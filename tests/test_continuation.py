@@ -6,6 +6,8 @@ from cshlab import (
     ScalarModel,
     SolveOptions,
     SolverError,
+    apriori_radius,
+    enumerate_report,
     estimate_threshold,
     sigma_homotopy,
     sup_norm,
@@ -83,6 +85,11 @@ def test_threshold_bad_bracket(k2):
                            bracket=(-6.0, -5.0), tol=1e-2)
     with pytest.raises(ValueError, match="one of"):
         estimate_threshold(k2, np.ones(2), "nope", bracket=(3.0, 5.0), tol=1e-2)
+    # a zero, negative or NaN tol used to run all 200 bisection steps
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            estimate_threshold(k2, np.full(2, -1.0), "strict_min_neg",
+                               bracket=(-5.0, -3.0), tol=tol)
 
 
 def test_sigma_homotopy_tracks_log_sigma(k2):
@@ -147,14 +154,29 @@ def test_sigma_homotopy_merges_seeds_of_one_basin(k2):
     assert np.all(records[0].roots[0].point == 0.0)
 
 
-def test_enumeration_box_falls_back_to_core_window(k2):
-    opts = SolveOptions(core_window=(-9.0, 2.5))
-    # lam * mean(f) = 0 and the system model have no a priori bound
-    for model in (ScalarModel(lam=-10.0, f=np.array([1.0, -1.0])),
-                  ScalarModel(lam=0.0, f=np.ones(2)),
-                  manufactured_system(k2)[0]):
-        assert continuation._enumeration_box(k2, model, None, opts) == (-9.0, 2.5)
-    m = ScalarModel(lam=-10.0, f=np.ones(2))
-    r = continuation._apriori_radius_or_none(k2, m)
-    assert r is not None and continuation._enumeration_box(k2, m, None, opts) == (-r, r)
-    assert continuation._enumeration_box(k2, m, (-1.0, 1.0), opts) == (-1.0, 1.0)
+def test_default_box_is_the_apriori_ball(k2):
+    # continuation passes box=None through: enumerate_report's a priori ball,
+    # with roots bitwise equal to an explicit run over that ball
+    f = np.ones(2)
+    m = ScalarModel(lam=-10.0, f=f)
+    r = apriori_radius(k2, m).radius
+    assert enumerate_report(k2, m).box[1].tolist() == [r, r]
+    runs = [(sweep_lambda(k2, f, (-10.0, -10.0), 1, box=box)[0].roots,
+             sigma_homotopy(k2, m, [1.0], box=box)[0].roots) for box in (None, (-r, r))]
+    for default, explicit in zip(*runs):
+        assert len(default) == len(explicit) == 3
+        assert [x.point.tobytes() for x in default] == [x.point.tobytes() for x in explicit]
+
+
+def test_model_without_apriori_bound_needs_a_box(k2):
+    # lam * mean(f) = 0, a sigma < 1 slice and the system model have no
+    # a priori bound: no fallback window is searched in their place
+    f0 = np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match="pass box"):
+        sweep_lambda(k2, f0, (-10.0, -9.0), 2)
+    with pytest.raises(ValueError, match="pass box"):
+        estimate_threshold(k2, f0, "strict_min_neg", bracket=(-5.0, -3.0), tol=1e-2)
+    for model, path in ((ScalarModel(lam=1.0, f=np.ones(2)), [0.5, 0.25]),
+                        (manufactured_system(k2)[0], [1.0])):
+        with pytest.raises(ValueError, match="pass box"):
+            sigma_homotopy(k2, model, path)

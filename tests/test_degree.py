@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import cshlab.solve as solve_mod
 from cshlab import (
     ScalarModel,
-    SolveOptions,
     build_graph,
     cycle_graph,
     degree_by_enumeration,
@@ -183,11 +183,11 @@ def test_manufactured_system_degree_cancels(k2):
     assert any(np.abs(r.point - np.concatenate([u0, v0])).max() < 1e-8 for r in rep.roots)
 
 
-def test_homotopy_audit_flags_small_ball(k2):
+def test_homotopy_audit_flags_small_ball(k2, monkeypatch):
     # shrinking the ball below the root norms must raise the violation flag
     s, u0, v0 = manufactured_system(k2)
-    audit = homotopy_audit(k2, s, [1.0], radius=1.05, grid_n=7,
-                           opts=SolveOptions(max_refinements=0))
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
+    audit = homotopy_audit(k2, s, [1.0], radius=1.05, grid_n=7)
     assert audit.bound_violation
 
 

@@ -47,27 +47,25 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol_residual=0.0)
     # values under which an enumeration returned a wrong degree without an error
-    bad = [("max_iter", 0), ("max_iter", -3), ("max_refinements", -1),
-           ("seed_cap", 0), ("core_window", (4.0, 4.0)), ("core_window", (4.0, -12.0)),
+    bad = [("max_iter", 0), ("max_iter", -3), ("seed_cap", 0),
            ("tol_residual", float("nan")), ("tol_residual", float("inf")),
            ("dedup_tol", 0.0), ("dedup_tol", -1.0), ("dedup_tol", float("nan")),
            ("dedup_tol", float("inf"))]
     # values of the wrong type, which used to pass and fail later (2.5 in
-    # range(), "no" read as true) or never be noticed ("ab" as a window)
+    # range(), "no" read as true)
     bad += [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"),
-            ("max_refinements", 0.5), ("seed_cap", 1e6), ("seed_cap", None),
-            ("rng_seed", 1.5), ("rng_seed", False), ("check_callbacks", "no"),
-            ("check_callbacks", 1), ("core_window", "ab"), ("core_window", (-1.0,)),
-            ("core_window", (-1.0, 0.0, 1.0)), ("core_window", ("a", "b")),
-            ("core_window", (-float("inf"), 4.0)), ("core_window", (float("nan"), 4.0)),
-            ("core_window", (False, True)), ("core_window", 4.0), ("tol_residual", "1e-12"),
+            ("seed_cap", 1e6), ("seed_cap", None), ("rng_seed", 1.5), ("rng_seed", False),
+            ("check_callbacks", "no"), ("check_callbacks", 1), ("tol_residual", "1e-12"),
             ("dedup_tol", True)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
-    SolveOptions(max_iter=1, max_refinements=0, seed_cap=1, core_window=(-1.0, 1.0),
-                 rng_seed=np.int64(3), check_callbacks=True)
-    SolveOptions(max_iter=np.int32(5), core_window=[-1, 1], tol_residual=1e-10)
+    SolveOptions(max_iter=1, seed_cap=1, rng_seed=np.int64(3), check_callbacks=True)
+    SolveOptions(max_iter=np.int32(5), tol_residual=1e-10)
+    # the grid's window and refinement count are module constants, not options
+    for field in ("core_window", "max_refinements"):
+        with pytest.raises(TypeError, match=field):
+            SolveOptions(**{field: 0})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SolveOptions(dedup_tol=1e-12)
@@ -342,12 +340,12 @@ def test_enumerate_deeper_negative_coupling(k2):
                 assert np.abs(a.point - b.point).max() > 1e-6
 
 
-def test_enumerate_refinement_superset(k2):
+def test_enumerate_refinement_superset(k2, monkeypatch):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    opts = SolveOptions(max_refinements=0)
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
     with pytest.warns(UserWarning, match="a priori"):
-        coarse = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11, opts=opts)
-        fine = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21, opts=opts)
+        coarse = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11)
+        fine = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21)
     for r in coarse:
         assert any(np.abs(r.point - s.point).max() <= 1e-6 for s in fine)
 
@@ -363,18 +361,18 @@ def test_enumeration_report_metadata(k2):
     assert pts == sorted(pts)
 
 
-def test_enumerate_box_warning_only_for_a_small_box(k2):
+def test_enumerate_box_warning_only_for_a_small_box(k2, monkeypatch):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    opts = SolveOptions(max_refinements=0)
-    radius = solve_mod._apriori_radius_or_none(k2, m)
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
+    radius = apriori_radius(k2, m).radius
     with pytest.warns(UserWarning, match="a priori") as caught:
-        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5, opts=opts)
+        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5)
     assert len(caught) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5, opts=opts, check_box=False)
-        enumerate_report(k2, m, box=(-radius, radius + 1.0), grid_n=5, opts=opts)
-        rep = enumerate_report(k2, m, grid_n=5, opts=opts)
+        enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=5, check_box=False)
+        enumerate_report(k2, m, box=(-radius, radius + 1.0), grid_n=5)
+        rep = enumerate_report(k2, m, grid_n=5)
     assert rep.box[1].tolist() == [radius, radius]
 
 
@@ -668,8 +666,9 @@ def test_enumerate_merge_matches_root_by_root_loop(k2, monkeypatch, seed):
 
     scripted = iter(levels)
     monkeypatch.setattr(solve_mod, "_newton_batch", lambda problem, seeds, opts: next(scripted))
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 2)
     rep = enumerate_report(k2, ScalarModel(lam=-10.0, f=np.full(2, -1.0)), box=(lo, hi),
-                           grid_n=5, opts=SolveOptions(max_refinements=2), check_box=False)
+                           grid_n=5, check_box=False)
     assert rep.stable and len(rep.grid_levels) == used
     expected.sort(key=lambda row: (tuple(np.rint(row[0] / tol).tolist()), tuple(row[0])))
     assert len(rep.roots) == len(expected) == (5 if grows else 4)
@@ -856,7 +855,7 @@ def _c4_seeds():
     problem = solve_mod._make_problem(g, m)
     radius = apriori_radius(g, m).radius
     seeds = solve_mod._seed_set(problem, np.full(4, -radius), np.full(4, radius),
-                                solve_mod.default_grid_n(4), SolveOptions())
+                                solve_mod.default_grid_n(4))
     return problem, seeds
 
 

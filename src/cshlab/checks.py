@@ -187,8 +187,7 @@ def check_solution_identity(seed: int = 0, cases: int = 6) -> list[str]:
         p = int(rng.integers(1, 3))
         c = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
         m = ScalarModel(lam=lam, f=np.full(g.ell, c), p=p)
-        roots = enumerate_solutions(g, m, box=(-9.0, 3.0), grid_n=21, opts=opts,
-                                    check_box=False)
+        roots = enumerate_solutions(g, m, box=(-9.0, 3.0), opts=opts, check_box=False)
         for r in roots:
             e = np.exp(r.point)
             lhs = integrate(g, e * (e - 1.0) ** (2 * p - 1))
@@ -264,22 +263,26 @@ def check_system_consistency(seed: int = 0, trials: int = 60) -> list[str]:
 
 
 def check_solver(seed: int = 0) -> list[str]:
-    """Classified-solution re-verification, enumeration idempotence under
-    refinement, and the bracketing route to an interior minimizer."""
+    """Classified-solution re-verification, box independence (K2, lam = -10,
+    f = 1: the roots found in (-9, 3) are the a priori ball's roots in it) and
+    the bracketing route to an interior minimizer."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
     opts = SolveOptions()
     g = complete_graph(2)
     m = ScalarModel(lam=-10.0, f=np.ones(g.ell))
-    coarse = enumerate_solutions(g, m, box=(-9.0, 3.0), grid_n=11, opts=opts, check_box=False)
-    fine = enumerate_solutions(g, m, box=(-9.0, 3.0), grid_n=21, opts=opts, check_box=False)
-    for r in coarse:
+    inner = enumerate_solutions(g, m, box=(-9.0, 3.0), opts=opts, check_box=False)
+    ball = [r for r in enumerate_solutions(g, m, opts=opts)
+            if np.all((r.point > -9.0) & (r.point < 3.0))]
+    for r in inner:
         if r.residual_norm > opts.tol_residual:
             bad.append("enumerated root exceeds residual tolerance")
         if r.nondegenerate and r.sign_det != (-1) ** r.morse_index:
             bad.append("sign_det inconsistent with Morse index")
-        if not any(np.abs(r.point - s.point).max() <= opts.dedup_tol for s in fine):
-            bad.append("refined grid lost a coarse-grid root (idempotence violated)")
+    for found, other, what in ((inner, ball, "the a priori ball"), (ball, inner, "the box")):
+        for r in found:
+            if not any(np.abs(r.point - s.point).max() <= opts.dedup_tol for s in other):
+                bad.append(f"a root in (-9, 3) is missing from the run over {what}")
 
     for gg in (g, path_graph(3), cycle_graph(4)):
         for lam in (1.0, 4.0):

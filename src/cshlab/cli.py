@@ -59,6 +59,9 @@ def _section(cfg: dict, name: str, default: dict | None = None) -> dict:
     section = cfg.get(name, {} if default is None else default)
     if not isinstance(section, dict):
         raise ConfigError(f"config entry {name!r} must be an object, got {section!r}")
+    if "grid" in section:  # refused, not ignored: no enumerator takes a config grid
+        raise ConfigError(f"config entry {name!r} takes no 'grid': "
+                          "the seed grid follows the dimension")
     return section
 
 
@@ -82,17 +85,6 @@ def _count(value, name: str) -> int:
     if not (number and float(value).is_integer() and value >= 1):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
-
-
-def _grid(section: dict, model) -> int | None:
-    # scalar enumeration is always certified branch and prune: a scalar
-    # config's grid is refused, not ignored
-    grid = section.get("grid")
-    if grid is None:
-        return None
-    if not isinstance(model, SystemModel):
-        raise ConfigError("grid applies only to the system model")
-    return _count(grid, "grid")
 
 
 def _box(section: dict):
@@ -263,15 +255,9 @@ def _seed_array(g: WeightedGraph, seed) -> np.ndarray:
     return np.full(g.ell, _number(seed, "seed"))
 
 
-def cmd_enumerate(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "enumerate")
-    report = enumerate_report(g, model, box=_box(section), grid_n=_grid(section, model),
-                              opts=opts)
-    for sol in report.roots:
-        emit.emit(_root_record(g, model, sol))
-    emit.emit({
-        "kind": "enumeration_summary",
-        "count": len(report.roots),
+def _evidence(report) -> dict:
+    """What an enumeration did, as every record that rests on one writes it."""
+    return {
         "grid_levels": report.grid_levels,
         "grid_stable": report.stable,
         "seeds_used": report.seeds_used,
@@ -279,7 +265,15 @@ def cmd_enumerate(g, model, cfg, opts, emit) -> int:
         "boxes": report.boxes,
         "unresolved": report.unresolved,
         "box": [report.box[0].tolist(), report.box[1].tolist()],
-    })
+    }
+
+
+def cmd_enumerate(g, model, cfg, opts, emit) -> int:
+    section = _section(cfg, "enumerate")
+    report = enumerate_report(g, model, box=_box(section), opts=opts)
+    for sol in report.roots:
+        emit.emit(_root_record(g, model, sol))
+    emit.emit({"kind": "enumeration_summary", "count": len(report.roots), **_evidence(report)})
     return 0
 
 
@@ -290,8 +284,7 @@ def cmd_degree(g, model, cfg, opts, emit) -> int:
         radius = _number(radius, "radius")
     elif isinstance(model, SystemModel):
         radius = _system_bound(g, model, _section(cfg, "system", section)).bound
-    report = degree_by_enumeration(g, model, radius=radius, opts=opts,
-                                   grid_n=_grid(section, model))
+    report = degree_by_enumeration(g, model, radius=radius, opts=opts)
     emit.emit(_degree_record(g, model, report))
     return 0
 
@@ -305,9 +298,7 @@ def _degree_record(g, model, report) -> dict:
         "radius": report.radius_used,
         "morse_sum": report.morse_sum,
         "degenerate_roots": report.degenerate_roots,
-        "grid_levels": report.grid_levels,
-        "grid_stable": report.grid_stable,
-        "certified": report.certified,
+        **_evidence(report.enumeration),
         "roots": [_root_record(g, model, s) for s in report.roots],
     }
     if report.perturbed is not None:
@@ -326,16 +317,15 @@ def _system_bound(g, model, section: dict) -> SystemBound:
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:
+    section = _section(cfg, "sweep")
     if not isinstance(model, ScalarModel):
         raise ConfigError("sweep is defined for the scalar model")
-    section = _section(cfg, "sweep")
     if "range" not in section:
         raise ConfigError("sweep needs a 'range': [lambda_from, lambda_to]")
     span = _numbers(section["range"], "sweep range")
     if len(span) != 2:
         raise ConfigError(f"sweep range must be [lambda_from, lambda_to], got {span}")
     steps = _count(section.get("steps", 11), "steps")
-    _grid(section, model)  # a scalar model takes no grid: rejects one
     records = sweep_lambda(
         g, model.f, tuple(span), steps, opts=opts,
         p=model.p, sigma=model.sigma, box=_box(section),
@@ -356,17 +346,16 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_system(g, model, cfg, opts, emit) -> int:
+    section = _section(cfg, "system")
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
-    section = _section(cfg, "system")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
     for s in sigma_grid:  # before the bound record: a config error emits nothing
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"sigma_grid values must lie in [0, 1], got {s}")
-    grid_n = _grid(section, model)
     bound = _system_bound(g, model, section)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})
-    audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts, grid_n=grid_n)
+    audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts)
     emit.emit({
         "kind": "homotopy_audit",
         "radius": audit.radius,
@@ -380,6 +369,7 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
                 "count": len(s.roots),
                 "min_margin": s.min_margin,
                 "roots": [_root_record(g, model, r) for r in s.roots],
+                **_evidence(s.enumeration),
             }
             for s in audit.slices
         ],

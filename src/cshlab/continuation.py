@@ -29,6 +29,7 @@ from .solve import (
     ClassifiedSolution,
     SolveOptions,
     _dedup_points,
+    _is_real,
     _make_problem,
     _solve_one,
     _sort_roots,
@@ -98,7 +99,7 @@ def sweep_lambda(
     event to halve the localization interval.  ``steps`` must be a positive
     integer (``ValueError`` otherwise; 11.7 is not rounded down).
     """
-    if int(steps) != steps or steps < 1:
+    if not (_is_real(steps) and float(steps).is_integer() and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     opts = opts or SolveOptions()
     values = [lam for lam in np.linspace(lambda_range[0], lambda_range[1], int(steps))

@@ -7,6 +7,7 @@ expected values are known in closed form for the scalar model (a three-case
 table in the sign pattern of ``lam`` and ``mean f``) and the system with
 positive source means (degree zero).  The audits replay the bookkeeping that
 turns a degree mismatch into a lower bound on the number of solutions.
+Degree reports and homotopy slices hold the enumeration report they rest on.
 
 Ball membership follows the sup norm: ``||u||_inf < R`` for the scalar model
 and ``||u||_inf + ||v||_inf < R`` for the system.
@@ -71,10 +72,10 @@ def _ball_norm(model, point: np.ndarray) -> float:
 class DegreeReport:
     """Computed vs expected degree with the evidence behind the computation.
 
-    ``certified`` is True when the enumeration behind it was a certified
-    branch-and-prune run with no unresolved box and only nondegenerate
-    roots (see :class:`~cshlab.solve.EnumerationReport`): every root then
-    lies in a box on which the sign of det J is proved constant.
+    ``enumeration`` is the run the signs were summed over (the perturbed
+    rerun keeps its own).  When it is certified (see
+    :class:`~cshlab.solve.EnumerationReport`) every root lies in a box on
+    which the sign of det J is proved constant.
     """
 
     computed_degree: int
@@ -84,9 +85,7 @@ class DegreeReport:
     roots: list[ClassifiedSolution]
     morse_sum: int
     degenerate_roots: int
-    grid_levels: list[int]
-    grid_stable: bool
-    certified: bool = False
+    enumeration: EnumerationReport
     perturbed: "DegreeReport | None" = None
 
 
@@ -105,9 +104,7 @@ def _report_from_enumeration(
         roots=roots,
         morse_sum=morse_sum,
         degenerate_roots=degenerate,
-        grid_levels=list(enum.grid_levels),
-        grid_stable=enum.stable,
-        certified=enum.certified,
+        enumeration=enum,
     )
 
 
@@ -116,13 +113,13 @@ def degree_by_enumeration(
     model,
     radius: float | None = None,
     opts: SolveOptions | None = None,
-    grid_n: int | None = None,
 ) -> DegreeReport:
     """Sum of root orientation signs over the ball of the given radius.
 
-    The ball is searched as the box ``(-radius, radius)``; without a radius
-    :func:`~cshlab.solve.enumerate_report` picks the box (the a priori ball,
-    else ``ValueError``: system models need the radius from
+    The ball is searched as the box ``(-radius, radius)`` by
+    :func:`~cshlab.solve.enumerate_report` with its default enumerator
+    (certified for a scalar model); without a radius it picks the box (the
+    a priori ball, else ``ValueError``: system models need the radius from
     :func:`~cshlab.system.apriori_bound_system`).  A radius smaller than the
     a priori bound only earns its warning, since shrinking the ball is how
     one probes localization.  If degenerate roots poison the sign sum, the
@@ -141,7 +138,7 @@ def degree_by_enumeration(
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
     box = None if radius is None else (-radius, radius)
-    enum = enumerate_report(g, model, box=box, grid_n=grid_n, opts=opts)
+    enum = enumerate_report(g, model, box=box, opts=opts)
     radius = float(enum.box[1][0])
     report = _report_from_enumeration(model, radius, enum, expected)
 
@@ -151,8 +148,7 @@ def degree_by_enumeration(
         direction -= average(g, direction)  # keep mean(f), hence the expected degree
         f2 = model.f + PERTURBATION_EPS * direction
         model2 = dataclasses.replace(model, f=f2)
-        enum2 = enumerate_report(g, model2, box=(-radius, radius), grid_n=grid_n, opts=opts,
-                                 check_box=False)
+        enum2 = enumerate_report(g, model2, box=(-radius, radius), opts=opts, check_box=False)
         report.perturbed = _report_from_enumeration(model2, radius, enum2, expected)
     return report
 
@@ -185,7 +181,9 @@ def multiplicity_audit(
     radius: float | None = None,
     opts: SolveOptions | None = None,
 ) -> MultiplicityAudit:
-    """Audit the forced-multiplicity arithmetic for a scalar model."""
+    """Audit the forced-multiplicity arithmetic for a scalar model (else ``TypeError``)."""
+    if not isinstance(model, ScalarModel):
+        raise TypeError(f"multiplicity audit needs a scalar model, got {type(model).__name__}")
     fbar = average(g, model.f)
     expected = expected_degree_scalar(model.lam, fbar)
     if expected is None:
@@ -217,6 +215,7 @@ class HomotopySlice:
     degree: int
     roots: list[ClassifiedSolution]
     min_margin: float | None   # min over roots of radius - (||u|| + ||v||)
+    enumeration: EnumerationReport   # the slice's run over the box (-radius, radius)
 
 
 @dataclass
@@ -241,7 +240,6 @@ def homotopy_audit(
     sigma_grid,
     radius: float,
     opts: SolveOptions | None = None,
-    grid_n: int | None = None,
 ) -> HomotopyAudit:
     """Enumerate each sigma slice and check the homotopy-invariance facts."""
     if average(g, model.f) <= 0.0 or average(g, model.g) <= 0.0:
@@ -251,7 +249,7 @@ def homotopy_audit(
     violation = False
     for sigma in sigma_grid:
         m = dataclasses.replace(model, sigma=float(sigma))
-        enum = enumerate_report(g, m, box=(-radius, radius), grid_n=grid_n, opts=opts)
+        enum = enumerate_report(g, m, box=(-radius, radius), opts=opts)
         inside = [r for r in enum.roots if _ball_norm(m, r.point) < radius]
         if len(inside) != len(enum.roots):
             violation = True
@@ -266,6 +264,7 @@ def homotopy_audit(
                 degree=int(sum(r.sign_det for r in inside)),
                 roots=inside,
                 min_margin=margin,
+                enumeration=enum,
             )
         )
     degrees = {s.degree for s in slices}

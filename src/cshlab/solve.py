@@ -1,23 +1,23 @@
 """Root finding, exhaustive small-graph enumeration and Morse classification.
 
 Enumeration of the scalar model (every p >= 1 and sigma in [0, 1]) is
-certified when the caller passes no ``grid_n``: interval branch and prune
-over the box (:mod:`cshlab.interval` for the outward-rounded bounds) excludes
-boxes that provably hold no root, includes by the Krawczyk test boxes that
-provably hold exactly one, and bisects the rest in a depth-first worklist
-handled in chunks of at most ``_BOX_CHUNK`` boxes, so its memory is bounded
-by construction.  Newton then polishes the midpoint of every included box
-and one seed per cluster of unresolved boxes (degenerate roots, continua).
+certified: interval branch and prune over the box (:mod:`cshlab.interval`
+for the outward-rounded bounds) excludes boxes that provably hold no root,
+includes by the Krawczyk test boxes that provably hold exactly one, and
+bisects the rest in a depth-first worklist handled in chunks of at most
+``_BOX_CHUNK`` boxes, so its memory is bounded by construction.  Newton
+then polishes the midpoint of every included box and one seed per cluster
+of unresolved boxes (degenerate roots, continua).
 A run is certified when no box is left unresolved and every root is
 nondegenerate; ``seed_cap`` also caps the number of boxes processed, and
 the box must be finite.  This is the only scalar enumeration that the
-degree, continuation and command-line layers run.
+degree, continuation, check and command-line layers run.
 
-With ``grid_n``, and always for the system model, enumeration seeds Newton
-from grids instead; its completeness is empirical: a grid whose refinement
-by doubling produces no new roots is declared stable, and reports carry the
-grid parameters used.  For a scalar model the grid path is the reference the
-certified path is tested against.
+The system model seeds Newton from grids instead, at the resolution
+:func:`default_grid_n` picks for its dimension; a grid whose refinement by
+doubling finds no new root is declared stable (empirical completeness).
+Only :func:`enumerate_report` takes a ``grid_n`` (on a scalar model, the
+reference the certified path is tested against).
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
 on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import interval
 from .errors import SolverError
@@ -131,16 +130,15 @@ class SolveOptions:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("max_iter", "seed_cap", "rng_seed"):
+        # numpy's generators take no negative rng_seed
+        for name, least in (("max_iter", 1), ("seed_cap", 1), ("rng_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
         if not isinstance(self.check_callbacks, bool):
             raise ValueError(f"check_callbacks must be a bool, got {self.check_callbacks!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.seed_cap < 1:
-            raise ValueError("seed_cap must be at least 1")
         if self.dedup_tol <= 10.0 * self.tol_residual:
             warnings.warn(
                 "dedup_tol is within a decade of tol_residual; "
@@ -591,7 +589,8 @@ def solve_system(
 
 @dataclass
 class EnumerationReport:
-    """Roots plus the evidence for the enumeration run.
+    """Roots plus the evidence for the enumeration run, its one record
+    (degree reports and homotopy slices hold it as ``enumeration``).
 
     A certified run (branch and prune) has ``grid_levels == []``, ``stable``
     equal to ``certified``, and counts in ``seeds_used`` the rows it polished
@@ -725,9 +724,9 @@ def enumerate_report(
     comes from Newton polishing a box that provably holds one or an
     unresolved region; its box must be finite (``ValueError`` otherwise).
 
-    With ``grid_n``, and always for the system model, seeds come in three
-    families: a uniform grid over the box (the box net, base level only), a
-    grid over ``_CORE_WINDOW`` where the nonlinearity actually turns (the
+    With ``grid_n``, and always for the system model (resolution
+    :func:`default_grid_n` without one), seeds come in three families: a
+    uniform grid over the box (the box net, base level only), a grid over ``_CORE_WINDOW`` where the nonlinearity actually turns (the
     core grid) and the exact constant roots inside the box when available
     (the anchors).  The grid path clips its seeds to ``[-45, 45]``, so it
     accepts infinite bounds.  A box with a NaN bound raises ``ValueError``.
@@ -984,16 +983,15 @@ def enumerate_solutions(
     g: WeightedGraph,
     model,
     box=None,
-    grid_n: int | None = None,
     opts: SolveOptions | None = None,
     check_box: bool = True,
 ) -> list[ClassifiedSolution]:
     """Deduplicated, classified roots in the box, sorted lexicographically on
     coordinates rounded to ``dedup_tol``.
 
-    The box and ``check_box`` follow :func:`enumerate_report`.
+    The roots of :func:`enumerate_report`'s default run; box and check_box follow it.
     """
-    return enumerate_report(g, model, box, grid_n, opts, check_box).roots
+    return enumerate_report(g, model, box, opts=opts, check_box=check_box).roots
 
 
 # ---------------------------------------------------------------------------
@@ -1068,6 +1066,7 @@ def box_extremize(
         if not np.isfinite(energy(s)):
             raise SolverError("non-finite energy inside the box")
 
+    from scipy import optimize as sciopt  # imported here, by its only user
     best = None
     for s in starts:
         r = sciopt.minimize(

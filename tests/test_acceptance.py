@@ -277,7 +277,7 @@ def test_c14_apriori_containment():
 
     for sigma in (0.0, 0.5, 1.0):
         s_sig = dataclasses.replace(s, sigma=sigma)
-        for r in enumerate_solutions(g, s_sig, box=(-9.0, 3.0), grid_n=7):
+        for r in enumerate_solutions(g, s_sig, box=(-9.0, 3.0)):
             total += 1
             if sup_norm(r.point[:2]) + sup_norm(r.point[2:]) >= bound.bound:
                 violations.append(("system", sigma))

@@ -1,7 +1,8 @@
 """Certified enumeration: the interval kernel and branch and prune.
 
-The grid path (an explicit ``grid_n``) is the reference the certified path
-must reproduce: the same roots at 1e-7, the same Morse data and the same
+The grid path (``enumerate_report`` with an explicit ``grid_n``, the only
+entry point that takes one) is the reference the certified path must
+reproduce: the same roots at 1e-7, the same Morse data and the same
 degrees.  The kernel is checked against point evaluations of the residual
 and the Jacobian at random points of random boxes.
 """
@@ -67,12 +68,14 @@ def test_certified_degree_matches_grid(name, lam, fbar, jitter):
     f = np.full(g.ell, fbar) if jitter is None else _jittered(g, fbar, jitter)
     m = ScalarModel(lam=lam, f=f)
     cert = degree_by_enumeration(g, m)
-    grid = degree_by_enumeration(g, m, grid_n=default_grid_n(g.ell))
-    assert cert.certified and not grid.certified
-    assert cert.grid_levels == [] and cert.grid_stable
-    assert cert.computed_degree == grid.computed_degree == cert.expected_degree
-    assert cert.morse_sum == grid.morse_sum
-    _assert_same_roots(cert.roots, grid.roots)
+    grid = enumerate_report(g, m, grid_n=default_grid_n(g.ell))
+    assert cert.enumeration.certified and not grid.certified
+    assert cert.enumeration.grid_levels == [] and cert.enumeration.stable
+    # the grid run's degree over the same ball
+    roots = [r for r in grid.roots if np.abs(r.point).max() < cert.radius_used]
+    assert cert.computed_degree == sum(r.sign_det for r in roots) == cert.expected_degree
+    assert cert.morse_sum == sum((-1) ** r.morse_index for r in roots if r.nondegenerate)
+    _assert_same_roots(cert.roots, roots)
 
 
 @pytest.mark.parametrize("g,m", [
@@ -185,7 +188,7 @@ def test_degenerate_root_is_found_but_not_certified():
     assert len(cert.roots) < len(grid.roots)
     # the degree report says so too
     rep = degree_by_enumeration(g, m, radius=3.0)
-    assert not rep.certified and rep.degenerate_roots >= 1
+    assert not rep.enumeration.certified and rep.degenerate_roots >= 1
 
 
 def test_included_box_without_its_root_is_unresolved(monkeypatch):
@@ -205,7 +208,7 @@ def test_included_box_without_its_root_is_unresolved(monkeypatch):
     assert rep.unresolved == 1 and not rep.certified and not rep.stable
 
 
-def test_non_finite_box_bounds():
+def test_non_finite_box_bounds(monkeypatch):
     g = GRAPHS["K2"]
     m = ScalarModel(lam=-10.0, f=np.ones(2))
     s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
@@ -230,7 +233,8 @@ def test_non_finite_box_bounds():
     assert infinite.seeds_used == finite.seeds_used
     assert [r.point.tobytes() for r in infinite.roots] == [r.point.tobytes() for r in finite.roots]
     assert len(infinite.roots) == 3
-    rep = degree_by_enumeration(g, s, radius=np.inf, grid_n=5)
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)  # one grid level is enough here
+    rep = degree_by_enumeration(g, s, radius=np.inf)
     assert rep.computed_degree == 0 and not rep.roots
 
 

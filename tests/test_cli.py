@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import cshlab.solve as solve_mod
 from cshlab import ScalarModel, complete_graph, residual, save_graph, sup_norm
 from cshlab.cli import main
+
+EVIDENCE = {"grid_levels", "grid_stable", "seeds_used", "certified", "boxes", "unresolved", "box"}
 
 
 @pytest.fixture
@@ -95,7 +98,7 @@ def test_enumerate_emits_roots_and_summary(tmp_path, k2_path, capsys):
     assert summary[0]["count"] == len(roots)
 
 
-def test_records_carry_certification(tmp_path, k2_path, capsys):
+def test_records_carry_certification(tmp_path, k2_path, capsys, monkeypatch):
     scalar = {"model": "scalar", "parameters": {"lambda": -10.0},
               "source": {"f": {"constant": 1.0}}}
     # without a grid the scalar enumeration is certified branch and prune
@@ -110,20 +113,53 @@ def test_records_carry_certification(tmp_path, k2_path, capsys):
     code, records = _run(["degree", "--graph", k2_path,
                           "--config", _write_config(tmp_path, scalar)], capsys)
     assert code == 0 and records[0]["certified"] is True
-    # a system config's grid is honoured; the grid path is never certified
+    # the system model runs on the grid its dimension picks (7 per axis on
+    # K2), which is never certified; one grid level keeps this test short
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
     system = {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
-              "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}}}
-    gridded = {**system, "enumerate": {"box": [-3.0, 3.0], "grid": 5},
-               "degree": {"radius": 3.0, "grid": 5}}
+              "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
+              "enumerate": {"box": [-3.0, 3.0]}, "degree": {"radius": 3.0}}
     code, records = _run(["enumerate", "--graph", k2_path,
-                          "--config", _write_config(tmp_path, gridded)], capsys)
+                          "--config", _write_config(tmp_path, system)], capsys)
     summary = records[-1]
     assert code == 0 and summary["certified"] is False and summary["boxes"] == 0
-    assert summary["unresolved"] == 0 and summary["grid_levels"] == [5, 9]
+    assert summary["unresolved"] == 0 and summary["grid_levels"] == [7]
     code, records = _run(["degree", "--graph", k2_path,
-                          "--config", _write_config(tmp_path, gridded)], capsys)
+                          "--config", _write_config(tmp_path, system)], capsys)
     assert code == 0 and records[0]["certified"] is False
-    assert records[0]["grid_levels"] == [5, 9]
+    assert records[0]["grid_levels"] == [7]
+
+
+def test_records_share_the_enumeration_evidence(tmp_path, k2_path, capsys, monkeypatch):
+    # one writer for the evidence: the enumeration summary, the degree
+    # record (its perturbed rerun too) and every homotopy slice
+    scalar = {"model": "scalar", "parameters": {"lambda": -10.0},
+              "source": {"f": {"constant": 1.0}}}
+    cfg = _write_config(tmp_path, scalar)
+    code, records = _run(["enumerate", "--graph", k2_path, "--config", cfg], capsys)
+    summary = records[-1]
+    assert code == 0 and EVIDENCE <= set(summary)
+    code, (degree,) = _run(["degree", "--graph", k2_path, "--config", cfg], capsys)
+    # the degree sums over the same run (the a priori ball): same values
+    assert code == 0 and {k: degree[k] for k in EVIDENCE} == {k: summary[k] for k in EVIDENCE}
+    assert degree["box"] == [[-degree["radius"]] * 2, [degree["radius"]] * 2]
+    degenerate = _write_config(tmp_path, {**scalar, "parameters": {"lambda": -4.0},
+                                           "source": {"f": {"constant": -1.0}},
+                                           "degree": {"radius": 8.0}})
+    with pytest.warns(UserWarning, match="a priori"):
+        code, (degree,) = _run(["degree", "--graph", k2_path, "--config", degenerate], capsys)
+    assert code == 0 and EVIDENCE <= set(degree) and EVIDENCE <= set(degree["perturbed"])
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
+    system = _write_config(tmp_path, {
+        "model": "system", "parameters": {"p": 0.5, "q": 0.5},
+        "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
+        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [0.0, 1.0]},
+    })
+    code, records = _run(["system", "--graph", k2_path, "--config", system], capsys)
+    slices = records[1]["slices"]
+    assert code == 0 and len(slices) == 2
+    for s in slices:
+        assert EVIDENCE <= set(s) and s["grid_levels"] == [7] and s["certified"] is False
 
 
 def test_sweep_csv(tmp_path, k2_path, capsys):
@@ -178,6 +214,8 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     for tolerances, message in (
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
         ({"check_callbacks": "no"}, "check_callbacks must be a bool, got 'no'"),
+        # numpy's generators take no negative seed
+        ({"rng_seed": -1}, "rng_seed must be at least 0, got -1"),
         ({"max_refinements": 0},
          "SolveOptions.__init__() got an unexpected keyword argument 'max_refinements'"),
         ({"core_window": [-12.0, 4.0]},
@@ -193,6 +231,11 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bad tolerances: {message}" in captured.err
+    cfg4 = _write_config(tmp_path, {"model": "scalar", "parameters": {"lambda": -2.0},
+                                    "source": {"f": {"constant": 0.0}}, "degree": {"radius": 4.0}})
+    assert main(["degree", "--graph", k2_path, "--config", cfg4, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rng_seed must be at least 0, got -1" in captured.err
     # a fractional, null or string power or a fractional sweep step count is
     # rejected, not rounded down or converted
     for p, message in ((1.5, "got 1.5"), (None, "NoneType"), ("2", "got '2'")):
@@ -225,14 +268,6 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("sweep", scalar, {"sweep": {**sweep, "range": [None, -5.5]}}, "sweep range must be"),
         ("enumerate", scalar, {"enumerate": {"box": [None, 3]}}, "box must be a number"),
         ("enumerate", scalar, {"enumerate": {"box": 3.0}}, "box must be [lo, hi]"),
-        ("enumerate", system, {"enumerate": {"box": [-3, 3], "grid": "11"}},
-         "grid must be a positive integer"),
-        ("enumerate", system, {"enumerate": {"box": [-3, 3], "grid": 7.5}},
-         "grid must be a positive integer"),
-        # scalar enumeration is certified branch and prune: a grid is not ignored
-        ("enumerate", scalar, {"enumerate": {"grid": 21}}, "grid applies only to the system"),
-        ("degree", scalar, {"degree": {"grid": 21}}, "grid applies only to the system"),
-        ("sweep", scalar, {"sweep": {**sweep, "grid": 21}}, "grid applies only to the system"),
         # mean(f) = 0: no a priori ball, so the sweep needs a box
         ("sweep", {**scalar, "source": {"f": {"values": {"x1": 1.0, "x2": -1.0}}}},
          {"sweep": {"range": [-4.5, -5.5], "steps": 2}}, "pass box explicitly"),
@@ -260,6 +295,29 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         assert captured.out == "" and message in captured.err, captured.err
 
 
+def test_grid_key_is_refused_in_every_section(tmp_path, k2_path, capsys):
+    # the seed grid follows the dimension: a grid key is an error, not ignored
+    scalar = {"model": "scalar", "parameters": {"lambda": -10.0},
+              "source": {"f": {"constant": 1.0}}}
+    system = {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
+              "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}}}
+    sections = {"enumerate": {"box": [-3.0, 3.0]}, "degree": {"radius": 3.0},
+                "sweep": {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0]},
+                "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [1.0]}}
+    for model in (scalar, system):
+        for command, section in sections.items():
+            cfg = _write_config(tmp_path, {**model, command: {**section, "grid": 5}})
+            assert main([command, "--graph", k2_path, "--config", cfg]) == 2, (model, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"config entry '{command}' takes no 'grid'" in captured.err
+    # the degree command reads the system bound from the system section
+    cfg = _write_config(tmp_path, {**system, "system": {**sections["system"], "grid": 5}})
+    assert main(["degree", "--graph", k2_path, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no 'grid'" in captured.err
+
+
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):
     # a solvable model with too small an iteration budget
     cfg = _write_config(tmp_path, {
@@ -276,12 +334,13 @@ def test_solver_failure_exit_code(tmp_path, k2_path, capsys):
     assert "max_iter = 2 exceeded" in err
 
 
-def test_system_command(tmp_path, k2_path, capsys):
+def test_system_command(tmp_path, k2_path, capsys, monkeypatch):
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)  # one grid level is enough here
     cfg = _write_config(tmp_path, {
         "model": "system",
         "parameters": {"p": 0.5, "q": 0.5},
         "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
-        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [0.0, 1.0], "grid": 5},
+        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [0.0, 1.0]},
     })
     code, records = _run(["system", "--graph", k2_path, "--config", cfg], capsys)
     assert code == 0

@@ -92,6 +92,13 @@ def test_threshold_bad_bracket(k2):
                                bracket=(-5.0, -3.0), tol=tol)
 
 
+def test_sweep_rejects_steps_that_are_no_positive_integer(k2):
+    # a non-finite count is no positive integer either
+    for steps in (float("inf"), float("nan"), 11.7, 0, -2, True):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            sweep_lambda(k2, np.ones(2), (-3.0, -4.0), steps, box=(-6.0, 2.0))
+
+
 def test_sigma_homotopy_tracks_log_sigma(k2):
     m = ScalarModel(lam=1.0, f=np.zeros(2))
     path = [10.0 ** (-k) for k in range(0, 5)]

@@ -75,7 +75,7 @@ def test_degree_small_radius_warns_once_with_perturbed_rerun(k2):
     # lam = -4, f = -1 has a degenerate root, so the perturbed rerun runs too
     m = ScalarModel(lam=-4.0, f=np.full(2, -1.0))
     with pytest.warns(UserWarning, match="a priori") as caught:
-        rep = degree_by_enumeration(k2, m, radius=8.0, grid_n=21)
+        rep = degree_by_enumeration(k2, m, radius=8.0)
     assert len(caught) == 1 and rep.perturbed is not None
 
 
@@ -86,7 +86,7 @@ def test_degree_table_on_weighted_graph():
     for lam, fbar, expected in SIGN_TABLE:
         rep = degree_by_enumeration(g, ScalarModel(lam=lam, f=np.full(3, fbar)))
         assert rep.computed_degree == expected, (lam, fbar)
-        assert rep.grid_stable
+        assert rep.enumeration.stable
 
 
 def test_degree_with_dirac_source(k2):
@@ -174,9 +174,32 @@ def test_multiplicity_audit_requires_defined_degree(k2):
         multiplicity_audit(k2, ScalarModel(lam=0.0, f=np.ones(2)))
 
 
+def test_multiplicity_audit_rejects_a_system_model(k2):
+    # the audit is defined for the scalar model only, like the expected degree
+    s, _, _ = manufactured_system(k2)
+    with pytest.raises(TypeError, match="scalar model, got SystemModel"):
+        multiplicity_audit(k2, s)
+
+
+def test_reports_hold_their_enumeration(k2, monkeypatch):
+    m = ScalarModel(lam=-4.0, f=np.full(2, -1.0))  # degenerate root: a perturbed rerun
+    rep = degree_by_enumeration(k2, m)
+    assert rep.enumeration.box[1].tolist() == [rep.radius_used] * 2
+    assert {r.point.tobytes() for r in rep.roots} <= {
+        r.point.tobytes() for r in rep.enumeration.roots}
+    assert rep.perturbed.enumeration is not rep.enumeration
+    assert not rep.enumeration.certified and rep.enumeration.unresolved > 0
+    s, _, _ = manufactured_system(k2)
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
+    audit = homotopy_audit(k2, s, [0.0, 1.0], radius=12.0)
+    for sl in audit.slices:
+        assert sl.enumeration.grid_levels == [7] and sl.enumeration.box[1][0] == 12.0
+        assert len(sl.roots) <= len(sl.enumeration.roots)
+
+
 def test_manufactured_system_degree_cancels(k2):
     s, u0, v0 = manufactured_system(k2)
-    rep = degree_by_enumeration(k2, s, radius=12.0, grid_n=7)
+    rep = degree_by_enumeration(k2, s, radius=12.0)
     assert rep.expected_degree == 0
     assert rep.computed_degree == 0
     assert len(rep.roots) >= 2
@@ -187,7 +210,7 @@ def test_homotopy_audit_flags_small_ball(k2, monkeypatch):
     # shrinking the ball below the root norms must raise the violation flag
     s, u0, v0 = manufactured_system(k2)
     monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
-    audit = homotopy_audit(k2, s, [1.0], radius=1.05, grid_n=7)
+    audit = homotopy_audit(k2, s, [1.0], radius=1.05)
     assert audit.bound_violation
 
 

@@ -16,7 +16,6 @@ from cshlab import (
     constant_solutions,
     cycle_graph,
     enumerate_report,
-    enumerate_solutions,
     extremize_scalar_in_box,
     jacobian,
     morse_data,
@@ -57,6 +56,8 @@ def test_options_validation():
             ("seed_cap", 1e6), ("seed_cap", None), ("rng_seed", 1.5), ("rng_seed", False),
             ("check_callbacks", "no"), ("check_callbacks", 1), ("tol_residual", "1e-12"),
             ("dedup_tol", True)]
+    # numpy's generators take no negative seed
+    bad += [("rng_seed", -1)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
@@ -70,6 +71,35 @@ def test_options_validation():
         warnings.simplefilter("always")
         SolveOptions(dedup_tol=1e-12)
     assert any("dedup" in str(w.message) for w in caught)
+
+
+def test_only_enumerate_report_takes_a_grid():
+    import inspect
+
+    import cshlab
+
+    modules = [getattr(cshlab, name) for name in
+               ("checks", "continuation", "degree", "graphs", "scalar", "solve", "system")]
+    public = {name: getattr(mod, name) for mod in modules for name in mod.__all__}
+    public.update((name, getattr(cshlab, name)) for name in dir(cshlab)
+                  if not name.startswith("_"))
+    with_grid = sorted(name for name, obj in public.items() if callable(obj)
+                       and not inspect.isclass(obj)
+                       and "grid_n" in inspect.signature(obj).parameters)
+    assert with_grid == ["enumerate_report"]
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "import sys, cshlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(solve_mod.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_morse_data_examples(k2):
@@ -211,8 +241,8 @@ def test_gauged_energy_max_route_yields_solution(k2):
 
 def test_enumerate_per_axis_box(k2):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    roots = enumerate_solutions(k2, m, box=([-8.0, -7.5], [3.0, 2.5]), grid_n=21,
-                                check_box=False)
+    roots = enumerate_report(k2, m, box=([-8.0, -7.5], [3.0, 2.5]), grid_n=21,
+                             check_box=False).roots
     assert len(roots) >= 2
 
 
@@ -225,7 +255,7 @@ def test_enumerate_five_vertex_graph():
 
     rep = degree_by_enumeration(g, m)
     assert rep.computed_degree == rep.expected_degree == -1
-    assert rep.grid_stable
+    assert rep.enumeration.stable
 
 
 def test_newton_pseudo_inverse_path(k2):
@@ -306,7 +336,7 @@ def test_newton_callback_check(k2):
 
 def test_enumerate_unique_root(k2):
     m = ScalarModel(lam=1.0, f=np.zeros(2))
-    roots = enumerate_solutions(k2, m, box=(-3.0, 3.0), grid_n=61)
+    roots = enumerate_report(k2, m, box=(-3.0, 3.0), grid_n=61).roots
     assert len(roots) == 1
     assert sup_norm(roots[0].point) <= 1e-12
 
@@ -314,7 +344,7 @@ def test_enumerate_unique_root(k2):
 def test_enumerate_k2_multiplicity(k2):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     with pytest.warns(UserWarning, match="a priori"):
-        roots = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21)
+        roots = enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=21).roots
     consts = constant_solutions(m)
     assert len(roots) >= 2
     for c in consts:
@@ -332,7 +362,7 @@ def test_enumerate_deeper_negative_coupling(k2):
     # three-plus distinct roots appear for strongly negative coupling
     m = ScalarModel(lam=-60.0, f=np.full(2, -1.0))
     with pytest.warns(UserWarning, match="a priori"):
-        roots = enumerate_solutions(k2, m, box=(-9.0, 3.0), grid_n=31)
+        roots = enumerate_report(k2, m, box=(-9.0, 3.0), grid_n=31).roots
     assert len(roots) >= 3
     for a in roots:
         for b in roots:
@@ -344,8 +374,8 @@ def test_enumerate_refinement_superset(k2, monkeypatch):
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
     with pytest.warns(UserWarning, match="a priori"):
-        coarse = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11)
-        fine = enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=21)
+        coarse = enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=11).roots
+        fine = enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=21).roots
     for r in coarse:
         assert any(np.abs(r.point - s.point).max() <= 1e-6 for s in fine)
 
@@ -387,8 +417,7 @@ def test_enumerate_without_a_priori_bound_needs_a_box(k2):
 def test_enumerate_seed_cap(k2):
     m = ScalarModel(lam=1.0, f=np.zeros(2))
     with pytest.raises(SolverError, match="seed budget"):
-        enumerate_solutions(k2, m, box=(-3.0, 3.0), grid_n=200,
-                            opts=SolveOptions(seed_cap=1000))
+        enumerate_report(k2, m, box=(-3.0, 3.0), grid_n=200, opts=SolveOptions(seed_cap=1000))
 
 
 def test_enumerate_seed_cap_checked_before_allocation(k2):
@@ -685,7 +714,7 @@ def test_critical_group_ranks_follow_morse_data(k2):
     seen = set()
     for lam in (-10.0, -4.0):
         m = ScalarModel(lam=lam, f=np.full(2, -1.0))
-        for r in enumerate_solutions(k2, m, box=(-8.0, 3.0), grid_n=11, check_box=False):
+        for r in enumerate_report(k2, m, box=(-8.0, 3.0), grid_n=11, check_box=False).roots:
             md = morse_data(jacobian(k2, m, r.point), k2.mu)
             assert r.critical_group_ranks == md.critical_group_ranks
             seen.add(md.critical_group_ranks is None)
@@ -1016,7 +1045,7 @@ def test_subsolution_route_matches_enumeration(k2):
     m = ScalarModel(lam=lam, f=f)
     out = extremize_scalar_in_box(k2, m, sb.lower, sb.upper, mode="min")
     assert out.interior
-    roots = enumerate_solutions(k2, m, box=(-6.0, 3.0), grid_n=21)
+    roots = enumerate_report(k2, m, box=(-6.0, 3.0), grid_n=21).roots
     assert any(np.abs(out.point - r.point).max() <= 1e-8 for r in roots)
 
 

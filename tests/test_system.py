@@ -138,7 +138,7 @@ def test_manufactured_root_is_exact(k2):
 def test_system_signs_cancel_on_weighted_graph():
     # non-uniform measure exercises the mu-weighted Hessian classification;
     # with positive source means the orientation signs must sum to zero
-    from cshlab import build_graph, enumerate_solutions
+    from cshlab import build_graph, enumerate_report
 
     g = build_graph([("a", 1.0), ("b", 2.0)], [("a", "b", 0.7)])
     u0 = np.array([-1.0, -0.5])
@@ -151,7 +151,7 @@ def test_system_signs_cancel_on_weighted_graph():
     from cshlab import average
 
     assert average(g, f) > 0.0 and average(g, gg) > 0.0
-    roots = enumerate_solutions(g, s, box=(-9.0, 3.0), grid_n=9)
+    roots = enumerate_report(g, s, box=(-9.0, 3.0), grid_n=9).roots
     assert len(roots) >= 2
     assert any(np.abs(r.point - np.concatenate([u0, v0])).max() <= 1e-9 for r in roots)
     assert sum(r.sign_det for r in roots) == 0
@@ -167,7 +167,7 @@ def test_maximum_principle_split_bounds(k2):
     assert average(k2, s.f) > 0.0 and average(k2, s.g) > 0.0
     phi = solve_poisson(k2, s.f - average(k2, s.f))
     psi = solve_poisson(k2, s.g - average(k2, s.g))
-    roots = enumerate_solutions(k2, s, box=(-9.0, 3.0), grid_n=7)
+    roots = enumerate_solutions(k2, s, box=(-9.0, 3.0))
     assert roots, "control system must have roots"
     for r in roots:
         u, v = r.point[:2], r.point[2:]

@@ -72,6 +72,14 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _finite(value, name: str) -> float:
+    """A finite JSON number as a float: the output is strict JSON, without NaN or Infinity."""
+    number = _number(value, name)
+    if not np.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def _numbers(value, name: str) -> list[float]:
     """A JSON list of numbers as floats; ConfigError for anything else."""
     if not isinstance(value, list):
@@ -94,7 +102,8 @@ def _box(section: dict):
     box = section["box"]
     if not isinstance(box, list) or len(box) != 2:
         raise ConfigError(f"box must be [lo, hi], got {box!r}")
-    return tuple(_numbers(b, "box") if isinstance(b, list) else _number(b, "box") for b in box)
+    return tuple([_finite(x, "box") for x in b] if isinstance(b, list) else _finite(b, "box")
+                 for b in box)
 
 
 def _load_graph_from(cfg: dict, args) -> WeightedGraph:
@@ -202,7 +211,8 @@ class _Emitter:
         self._owned = out_path is not None
 
     def emit(self, record: dict) -> None:
-        self._fh.write(json.dumps(record) + "\n")
+        # strict JSON: a non-finite number raises ValueError before anything is written
+        self._fh.write(json.dumps(record, allow_nan=False) + "\n")
 
     def write_text(self, text: str) -> None:
         self._fh.write(text)
@@ -281,7 +291,7 @@ def cmd_degree(g, model, cfg, opts, emit) -> int:
     section = _section(cfg, "degree")
     radius = section.get("radius")
     if radius is not None:
-        radius = _number(radius, "radius")
+        radius = _finite(radius, "radius")
     elif isinstance(model, SystemModel):
         radius = _system_bound(g, model, _section(cfg, "system", section)).bound
     report = degree_by_enumeration(g, model, radius=radius, opts=opts)
@@ -313,7 +323,11 @@ def _system_bound(g, model, section: dict) -> SystemBound:
     if lam1 is None or lam2 is None:
         raise ConfigError("the system bound needs 'Lambda1' and 'Lambda2' "
                           "(the degree command also takes a 'radius' instead)")
-    return apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
+    bound = apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
+    if not np.isfinite(bound.bound):
+        raise ConfigError(f"the system bound overflows for Lambda1 = {bound.Lambda1:g}, "
+                          f"Lambda2 = {bound.Lambda2:g}")
+    return bound
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:

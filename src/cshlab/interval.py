@@ -1,15 +1,18 @@
 """Outward-rounded interval bounds for the scalar model over stacks of boxes.
 
-A stack of boxes is a pair of arrays ``lo, hi`` of shape (B, n).  Every
-bound returned here encloses the exact real value at every point of every
-box.  Each floating-point operation rounds to nearest and the result is then
-moved one ulp outward with ``np.nextafter``, which covers that rounding
-error; ``exp`` is moved four ulps, since numpy's is not correctly rounded.
+A stack of B boxes is one array of shape (2, B, n): lower corners first,
+then upper corners; every bound comes back in the same layout, lower bounds
+first.  Every bound returned here encloses the exact real value at every
+point of every box.  Each floating-point operation rounds to nearest and
+the result is then moved one ulp outward with ``np.nextafter``, which
+covers that rounding error; ``exp`` is moved four ulps, since numpy's is
+not correctly rounded.
 A bound that overflows clamps to the largest finite float
 (``nextafter(inf, -inf)``), and an operation without a bound (``0 * inf``)
 gives NaN, which callers read as "no information": every comparison with NaN
 is false, so a NaN never excludes, includes or contracts a box.  No product
-goes through BLAS, whose summation order and rounding are unknown.
+goes through BLAS, whose summation order and rounding are unknown: a sum of
+interval terms is added left to right, one outward step per addition.
 
 With ``t = e^u`` the nonlinearity is ``lam g(t)``, ``g(t) = t (t - sigma)^(2p-1)``.
 ``g`` falls on (0, sigma/(2p)) and rises after it (the critical point t = sigma
@@ -18,9 +21,21 @@ exactly from the endpoints and that minimum.  The Jacobian's diagonal term
 ``lam t g'(t) = lam t (t - sigma)^(2p-2) (2p t - sigma)`` uses the natural
 interval extension of that product.
 
-``krawczyk`` evaluates the Krawczyk operator (R. Krawczyk, Computing 4, 1969;
-Moore, Kearfott and Cloud, Introduction to Interval Analysis, SIAM 2009),
-the inclusion and contraction test of :func:`~cshlab.solve.enumerate_report`.
+:class:`ScalarKernel` is the one entry point.  It holds everything that does
+not depend on the boxes for one graph and one scalar model: -L, the
+mu-weighted column sums of -L and the enclosure of int f dmu used by the
+integral test, the enclosures of sigma/(2p) and of g's minimum there, the
+exponents 2p - 1 and 2p - 2, the identity and the diagonal indices.  Branch
+and prune builds one per enumeration.  Inside it every interval array is a
+(2, ...) stack too, so the two bounds, both endpoints of g and all terms of
+a sum share each numpy call; the arithmetic on every element, and the order
+of every sum, are those of a one-term-at-a-time evaluation, so the bounds
+are the same bit for bit.
+
+:meth:`ScalarKernel.krawczyk` evaluates the Krawczyk operator (R. Krawczyk,
+Computing 4, 1969; Moore, Kearfott and Cloud, Introduction to Interval
+Analysis, SIAM 2009), the inclusion and contraction test of
+:func:`~cshlab.solve.enumerate_report`.
 """
 
 from __future__ import annotations
@@ -30,135 +45,206 @@ import numpy as np
 from .graphs import WeightedGraph
 from .scalar import ScalarModel
 
-__all__ = ["residual_bounds", "jacobian_diag_bounds", "excluded", "krawczyk"]
+__all__ = ["ScalarKernel"]
 
 # ulps by which exp is widened on each side
 _EXP_ULPS = 4
+# nextafter targets that move the lower bounds down and the upper bounds up,
+# shaped to broadcast against interval stacks of each dimension
+_OUTWARD = {d: np.array([-np.inf, np.inf]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 6)}
 
 
-def _dn(x):
-    return np.nextafter(x, -np.inf)
+def _out(X):
+    """Interval stack ``X`` moved one ulp outward."""
+    return np.nextafter(X, _OUTWARD[X.ndim])
 
 
-def _up(x):
-    return np.nextafter(x, np.inf)
+def _widen(P):
+    """Interval stack [P - ulp, P + ulp] around the rounded point values ``P``."""
+    return np.nextafter(P, _OUTWARD[P.ndim + 1])
 
 
-def _add(al, ah, bl, bh):
-    return _dn(al + bl), _up(ah + bh)
+def _hull(P):
+    """Interval stack [min, max] of the pair of point arrays ``P[0], P[1]``, outward."""
+    R = np.empty(P.shape)
+    np.minimum(P[0], P[1], out=R[0, ...])
+    np.maximum(P[0], P[1], out=R[1, ...])
+    return np.nextafter(R, _OUTWARD[R.ndim], out=R)
 
 
-def _scale(a, xl, xh):
-    """Enclosure of a * [xl, xh] for a point factor ``a``."""
-    p, q = a * xl, a * xh
-    return _dn(np.minimum(p, q)), _up(np.maximum(p, q))
+def _scale(a, X):
+    """Enclosure of a * X for a point factor ``a``."""
+    return _hull(a * X)
 
 
-def _mul(al, ah, bl, bh):
-    """Enclosure of the product of two intervals."""
-    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
-    return (_dn(np.minimum(np.minimum(p, q), np.minimum(r, s))),
-            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
+def _mul(X, Y):
+    """Enclosure of the product of two interval stacks of equal dimension."""
+    P = X[:, None] * Y[None]  # P[i, j] = X[i] * Y[j]
+    # lower bound min(min(P00, P01), min(P10, P11)), upper bound likewise with max
+    p, q = P[:, 0], P[:, 1]
+    R = np.empty(p.shape)
+    pair = np.minimum(p, q)
+    np.minimum(pair[0], pair[1], out=R[0, ...])
+    np.maximum(p, q, out=pair)
+    np.maximum(pair[0], pair[1], out=R[1, ...])
+    return np.nextafter(R, _OUTWARD[R.ndim], out=R)
 
 
-def _pow_nonneg(a, k: int, rnd):
-    """a**k for a >= 0 and k >= 1, each product rounded by ``rnd`` (monotone)."""
-    out = a
+def _sum_last(T):
+    """Outward-rounded sum of an interval stack over its last axis, left to right."""
+    s = T[..., 0]
+    for j in range(1, T.shape[-1]):
+        s = _out(s + T[..., j])
+    return s
+
+
+def _ipow(X, k: int):
+    """Exact enclosure of {x**k : x in X} for an integer k >= 1."""
+    if k == 1:
+        return X
+    if k % 2:  # odd powers increase; a negative bound rounds its magnitude inward
+        base, pos = np.abs(X), X >= 0
+        to = np.where(pos, _OUTWARD[X.ndim], -_OUTWARD[X.ndim])
+    else:
+        base = np.empty(X.shape)
+        base[0] = np.where(X[0] > 0, X[0], np.where(X[1] < 0, -X[1], 0.0))
+        np.maximum(-X[0], X[1], out=base[1])
+        to = _OUTWARD[X.ndim]
+    out = base
     for _ in range(k - 1):
-        out = rnd(out * a)
-    return out
+        out = np.nextafter(out * base, to)
+    return np.where(pos, out, -out) if k % 2 else out
 
 
-def _ipow(lo, hi, k: int):
-    """Exact enclosure of {x**k : lo <= x <= hi} for an integer k >= 0."""
-    if k == 0:
-        return np.ones_like(lo), np.ones_like(hi)
-    if k % 2:  # odd powers increase
-        return (np.where(lo >= 0, _pow_nonneg(np.abs(lo), k, _dn), -_pow_nonneg(np.abs(lo), k, _up)),
-                np.where(hi >= 0, _pow_nonneg(np.abs(hi), k, _up), -_pow_nonneg(np.abs(hi), k, _dn)))
-    low = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0))
-    return _pow_nonneg(low, k, _dn), _pow_nonneg(np.maximum(-lo, hi), k, _up)
-
-
-def _exp_bounds(lo, hi):
-    tl, th = np.exp(lo), np.exp(hi)
+def _exp_bounds(T):
+    """Enclosure of exp from the rounded values ``T = np.exp(X)`` of a stack."""
     for _ in range(_EXP_ULPS):
-        tl, th = _dn(tl), _up(th)
-    return np.maximum(tl, 0.0), th
+        T = _out(T)
+    np.maximum(T[0], 0.0, out=T[0])
+    return T
 
 
-def _g_at(m: ScalarModel, tl, th):
-    """Natural interval extension of g(t) = t (t - sigma)^(2p-1) over [tl, th]."""
-    return _mul(tl, th, *_ipow(_dn(tl - m.sigma), _up(th - m.sigma), 2 * m.p - 1))
-
-
-def _nonlinear_bounds(m: ScalarModel, lo, hi):
-    """Enclosure of lam e^u (e^u - sigma)^(2p-1) over each coordinate interval."""
-    tl, th = _exp_bounds(lo, hi)
-    al, ah = _g_at(m, tl, tl)
-    bl, bh = _g_at(m, th, th)
-    c = m.sigma / (2 * m.p)  # the minimum of g, enclosed by [_dn(c), _up(c)]
-    cl, ch = _dn(c), _up(c)
-    gmin = _g_at(m, cl, ch)[0]
-    left, right = th <= cl, tl >= ch  # wholly on the falling or the rising side
-    gl = np.where(right, al, np.where(left, bl, gmin))
-    gh = np.where(left, ah, np.where(right, bh, np.maximum(ah, bh)))
-    return _scale(m.lam, gl, gh)
-
-
-def _sum(terms):
-    """Outward-rounded sum of an iterable of (lo, hi) interval terms."""
-    sl = sh = None
-    for tl, th in terms:
-        sl, sh = (tl, th) if sl is None else _add(sl, sh, tl, th)
-    return sl, sh
-
-
-def _matvec(A, xl, xh):
+def _matvec(A, X):
     """Enclosure of A x for a point matrix A, (n, n) or a (B, n, n) stack."""
-    return _sum(_scale(A[..., :, j], xl[..., j, None], xh[..., j, None])
-                for j in range(xl.shape[-1]))
+    return _sum_last(_scale(A, X[:, ..., None, :]))
 
 
-def _residual(g: WeightedGraph, m: ScalarModel, lo, hi, hl, hh):
-    """Residual enclosure from the nonlinear term's enclosure [hl, hh]."""
-    Fl, Fh = _add(*_matvec(g.neg_laplacian_matrix(), lo, hi), hl, hh)
-    return _dn(Fl + m.f), _up(Fh + m.f)
+class ScalarKernel:
+    """Interval bounds of one scalar model on one graph, for stacks of boxes.
 
-
-def residual_bounds(g: WeightedGraph, m: ScalarModel, lo, hi):
-    """Enclosure of ``F(u) = -L u + lam e^u (e^u - sigma)^(2p-1) + f`` over each box."""
-    with np.errstate(all="ignore"):
-        return _residual(g, m, lo, hi, *_nonlinear_bounds(m, lo, hi))
-
-
-def jacobian_diag_bounds(g: WeightedGraph, m: ScalarModel, lo, hi):
-    """Enclosure of the nonlinear diagonal of J(u) = -L + diag(d(u)) over each box."""
-    with np.errstate(all="ignore"):
-        tl, th = _exp_bounds(lo, hi)
-        sl, sh = _ipow(_dn(tl - m.sigma), _up(th - m.sigma), 2 * m.p - 2)
-        ql, qh = _dn(_dn(2 * m.p * tl) - m.sigma), _up(_up(2 * m.p * th) - m.sigma)
-        return _scale(m.lam, *_mul(*_mul(tl, th, sl, sh), ql, qh))
-
-
-def excluded(g: WeightedGraph, m: ScalarModel, lo, hi) -> np.ndarray:
-    """Boxes proved rootless, one flag per box.
-
-    A box is excluded when the enclosure of some residual component misses
-    zero, or when the integral test does: for the exact Laplacian
-    ``sum_x mu(x) F(u)(x) = int lam e^u (e^u - sigma)^(2p-1) dmu + int f dmu``.
-    The float matrix's mu-weighted column sums are tiny but need not vanish,
-    so their product with u is kept as one more interval term.
+    Every method takes a stack of B boxes as one array ``X`` of shape
+    (2, B, n), lower corners ``X[0]`` and upper corners ``X[1]``, and returns
+    its bounds in the same layout: lower bounds first, so
+    ``Fl, Fh = kernel.residual_bounds(X)`` unpacks them.
     """
-    A, mu = g.neg_laplacian_matrix(), g.mu
-    with np.errstate(all="ignore"):
-        hl, hh = _nonlinear_bounds(m, lo, hi)
-        Fl, Fh = _residual(g, m, lo, hi, hl, hh)
-        cl, ch = _sum(_scale(mu[x], A[x], A[x]) for x in range(g.ell))
-        Il, Ih = _sum([*(_scale(mu[x], hl[:, x], hh[:, x]) for x in range(g.ell)),
-                       *(_mul(cl[y], ch[y], lo[:, y], hi[:, y]) for y in range(g.ell)),
-                       _sum(_scale(mu[x], m.f[x], m.f[x]) for x in range(g.ell))])
-    return np.any((Fl > 0.0) | (Fh < 0.0), axis=1) | (Il > 0.0) | (Ih < 0.0)
+
+    def __init__(self, g: WeightedGraph, m: ScalarModel):
+        self.A = g.neg_laplacian_matrix()
+        self.mu, self.f = g.mu, m.f
+        self.lam, self.sigma = m.lam, m.sigma
+        self.two_p = 2 * m.p
+        self.k_g, self.k_d = 2 * m.p - 1, 2 * m.p - 2
+        self.eye = np.eye(g.ell)
+        self.diag = np.arange(g.ell)
+        with np.errstate(all="ignore"):
+            # sum_x mu(x) (-L)[x, y], one column y per entry
+            self.col_sums = _sum_last(_widen(self.mu * self.A.T))
+            self.f_integral = _sum_last(_widen(self.mu * self.f))
+            # where g takes its minimum, enclosed one ulp outward, and g's lower bound there
+            self.c = _widen(np.array(m.sigma / (2 * m.p)))
+            self.g_min = _mul(self.c, _ipow(_out(self.c - m.sigma), self.k_g))[0]
+
+    def _g_points(self, T):
+        """Enclosures of g at the points ``T``, shape (2,) + T.shape."""
+        return _scale(T, _ipow(_widen(T - self.sigma), self.k_g))
+
+    def _nonlinear(self, T):
+        """Enclosure of lam g(t) over each t interval of the exp enclosure ``T``."""
+        (al, bl), (ah, bh) = self._g_points(T)
+        left, right = T[1] <= self.c[0], T[0] >= self.c[1]  # wholly falling or rising
+        H = np.empty(T.shape)
+        H[0] = np.where(right, al, np.where(left, bl, self.g_min))
+        H[1] = np.where(left, ah, np.where(right, bh, np.maximum(ah, bh)))
+        return _scale(self.lam, H)
+
+    def _residual(self, X, H):
+        """Residual enclosure from the nonlinear term's enclosure ``H``."""
+        return _out(_out(_matvec(self.A, X) + H) + self.f)
+
+    def _diag(self, T):
+        """Enclosure of the Jacobian's nonlinear diagonal from the exp enclosure ``T``."""
+        if self.k_d == 0:  # (t - sigma)^0 = 1, and T times [1, 1] is the hull of T
+            TS = _hull(T)
+        else:
+            TS = _mul(T, _ipow(_out(T - self.sigma), self.k_d))
+        Q = _out(_out(self.two_p * T) - self.sigma)
+        return _scale(self.lam, _mul(TS, Q))
+
+    def _jacobian_at(self, t):
+        """J(c) at the points c with ``t = np.exp(c)``, one matrix per row.
+
+        Evaluated here, not by :func:`~cshlab.scalar.jacobian`, which rejects
+        |c| > 700: box midpoints may lie past it.
+        """
+        i = self.diag
+        J = np.empty(t.shape + (len(i),))
+        J[:] = self.A
+        J[:, i, i] += self.lam * t * (t - self.sigma) ** self.k_d * (self.two_p * t - self.sigma)
+        return J
+
+    def residual_bounds(self, X):
+        """Enclosure of ``F(u) = -L u + lam e^u (e^u - sigma)^(2p-1) + f`` over each box."""
+        with np.errstate(all="ignore"):
+            return self._residual(X, self._nonlinear(_exp_bounds(np.exp(X))))
+
+    def jacobian_diag_bounds(self, X):
+        """Enclosure of the nonlinear diagonal of J(u) = -L + diag(d(u)) over each box."""
+        with np.errstate(all="ignore"):
+            return self._diag(_exp_bounds(np.exp(X)))
+
+    def excluded(self, X) -> np.ndarray:
+        """Boxes proved rootless, one flag per box.
+
+        A box is excluded when the enclosure of some residual component misses
+        zero, or when the integral test does: for the exact Laplacian
+        ``sum_x mu(x) F(u)(x) = int lam e^u (e^u - sigma)^(2p-1) dmu + int f dmu``.
+        The float matrix's mu-weighted column sums are tiny but need not vanish,
+        so their product with u is kept as one more interval term.
+        """
+        with np.errstate(all="ignore"):
+            H = self._nonlinear(_exp_bounds(np.exp(X)))
+            F = self._residual(X, H)
+            terms = np.concatenate((_scale(self.mu, H), _mul(self.col_sums[:, None], X)), axis=-1)
+            I = _out(_sum_last(terms) + self.f_integral[:, None])
+        return ((F[0] > 0.0) | (F[1] < 0.0)).any(axis=1) | (I[0] > 0.0) | (I[1] < 0.0)
+
+    def krawczyk(self, X):
+        """Krawczyk operator ``K(X) = c - Y F(c) + (I - Y J(X)) (X - c)`` of each box.
+
+        ``c`` is the box midpoint and ``Y`` a floating-point inverse of J(c)
+        (zero where J(c) is singular, which gives K(X) >= X: no information).
+        Every root in X lies in K(X).  If K(X) lies in the interior of X, X holds
+        exactly one root and every matrix in J(X) is regular, so sign det J is the
+        same on the whole box.  Returns the bounds of K(X).
+        """
+        A = self.A
+        lo, hi = X
+        with np.errstate(all="ignore"):
+            c = np.clip(lo + 0.5 * (hi - lo), lo, hi)
+            t = np.exp(c)
+            Y = _approximate_inverse(self._jacobian_at(t))
+            C = np.array((c, c))
+            V = _matvec(Y, self._residual(C, self._nonlinear(_exp_bounds(np.array((t, t))))))
+            D = self._diag(_exp_bounds(np.exp(X)))
+            # M = I - Y J(X), with Y J(X) = Y A + Y diag(d) entry by entry and
+            # Y A one column of Y at a time
+            M = _widen(Y[..., :, 0, None] * A[0])
+            for k in range(1, len(A)):
+                M = _out(M + _widen(Y[..., :, k, None] * A[k]))
+            M = _out(M + _scale(Y, D[:, :, None, :]))
+            M = _out(self.eye - M[::-1])
+            S = _sum_last(_mul(M, _out(X - c)[:, :, None, :]))
+            return _out(_out(c - V[::-1]) + S)
 
 
 def _approximate_inverse(J: np.ndarray) -> np.ndarray:
@@ -170,35 +256,3 @@ def _approximate_inverse(J: np.ndarray) -> np.ndarray:
         Y = np.zeros_like(J)
         Y[regular] = np.linalg.inv(J[regular])
         return Y
-
-
-def krawczyk(g: WeightedGraph, m: ScalarModel, lo, hi):
-    """Krawczyk operator ``K(X) = c - Y F(c) + (I - Y J(X)) (X - c)`` of each box.
-
-    ``c`` is the box midpoint and ``Y`` a floating-point inverse of J(c)
-    (zero where J(c) is singular, which gives K(X) >= X: no information).
-    Every root in X lies in K(X).  If K(X) lies in the interior of X, X holds
-    exactly one root and every matrix in J(X) is regular, so sign det J is the
-    same on the whole box.  Returns the bounds of K(X).
-    """
-    A = g.neg_laplacian_matrix()
-    n = lo.shape[1]
-    with np.errstate(all="ignore"):
-        c = np.clip(lo + 0.5 * (hi - lo), lo, hi)
-        # J(c) by hand: scalar.jacobian rejects |u| > 700, boxes may reach past it
-        t = np.exp(c)
-        Jc = np.broadcast_to(A, lo.shape + (n,)).copy()
-        Jc[:, np.arange(n), np.arange(n)] += (
-            m.lam * t * (t - m.sigma) ** (2 * m.p - 2) * (2 * m.p * t - m.sigma))
-        Y = _approximate_inverse(Jc)
-        vl, vh = _matvec(Y, *residual_bounds(g, m, c, c))
-        dl, dh = jacobian_diag_bounds(g, m, lo, hi)
-        # Y J(X) = Y A + Y diag(d), entry by entry
-        Rl, Rh = _sum(_scale(Y[..., :, k, None], A[k], A[k]) for k in range(n))
-        Rl, Rh = _add(Rl, Rh, *_scale(Y, dl[:, None, :], dh[:, None, :]))
-        eye = np.eye(n)
-        Ml, Mh = _dn(eye - Rh), _up(eye - Rl)
-        zl, zh = _dn(lo - c), _up(hi - c)
-        Sl, Sh = _sum(_mul(Ml[..., j], Mh[..., j], zl[:, j, None], zh[:, j, None])
-                      for j in range(n))
-        return _dn(_dn(c - vh) + Sl), _up(_up(c - vl) + Sh)

@@ -1,11 +1,12 @@
 """Root finding, exhaustive small-graph enumeration and Morse classification.
 
 Enumeration of the scalar model (every p >= 1 and sigma in [0, 1]) is
-certified: interval branch and prune over the box (:mod:`cshlab.interval`
-for the outward-rounded bounds) excludes boxes that provably hold no root,
-includes by the Krawczyk test boxes that provably hold exactly one, and
-bisects the rest in a depth-first worklist handled in chunks of at most
-``_BOX_CHUNK`` boxes, so its memory is bounded by construction.  Newton
+certified: interval branch and prune over the box excludes boxes that
+provably hold no root, includes by the Krawczyk test boxes that provably
+hold exactly one, and bisects the rest in a depth-first worklist handled in
+chunks of at most ``_BOX_CHUNK`` boxes, so its memory is bounded by
+construction.  One :class:`~cshlab.interval.ScalarKernel`, built per
+enumeration, gives the outward-rounded bounds of every chunk.  Newton
 then polishes the midpoint of every included box and one seed per cluster
 of unresolved boxes (degenerate roots, continua).
 A run is certified when no box is left unresolved and every root is
@@ -35,7 +36,9 @@ import; Armijo constant 1e-4) is tested in blocks of 1, 1, 2, 4, ...
 step lengths, each block one stacked residual call over the rows still
 searching; every row accepts the first step length of the ladder that passes
 the Armijo test, as a one-at-a-time search would, and no block holds more
-trial rows than the full-step round.  Converged rows then take up to six
+trial rows than the full-step round.  A residual call gives rows outside
+the exp guard an infinite residual; a stack wholly inside it is evaluated
+without the mask.  Converged rows then take up to six
 full polish steps while the residual drops.  Row sup norms fold the short last axis
 column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
 its converged rows into the known roots with one greedy sup-norm dedup pass
@@ -282,8 +285,10 @@ def _make_problem(g: WeightedGraph, model) -> _Problem:
 
 def _residual_rows(problem: _Problem, X: np.ndarray) -> np.ndarray:
     """Residuals for rows inside the exp guard; +inf rows elsewhere."""
-    out = np.full(X.shape, np.inf)
     inb = sup_norm(X) <= EXP_GUARD
+    if len(X) and inb.all():  # no mask to fill, gather and scatter back
+        return problem.residual(X)
+    out = np.full(X.shape, np.inf)
     if inb.any():
         out[inb] = problem.residual(X[inb])
     return out
@@ -832,8 +837,8 @@ def _branch_and_prune(g: WeightedGraph, m: ScalarModel, lo: np.ndarray, hi: np.n
     A depth-first worklist, processed in chunks of at most ``_BOX_CHUNK``
     boxes, sends each box X to one of four fates:
 
-    * excluded, when :func:`~cshlab.interval.excluded` proves it rootless or
-      X meets K(X~) in the empty set;
+    * excluded, when :meth:`~cshlab.interval.ScalarKernel.excluded` proves it
+      rootless or X meets K(X~) in the empty set;
     * included, when K(X~) lies in the interior of X~, where X~ is X widened
       by a sixteenth of its width on each side (so a root on a face shared
       by two boxes is still interior to one of them) and K the Krawczyk
@@ -845,55 +850,56 @@ def _branch_and_prune(g: WeightedGraph, m: ScalarModel, lo: np.ndarray, hi: np.n
     A box whose widest side falls below ``opts.dedup_tol`` without being
     excluded or included is unresolved (degenerate roots and continua end
     here); it is kept, never dropped.  Processing more than
-    ``opts.seed_cap`` boxes raises :class:`SolverError`.
+    ``opts.seed_cap`` boxes raises :class:`SolverError`.  One
+    :class:`~cshlab.interval.ScalarKernel`, built before the first chunk,
+    bounds every chunk: its box-independent constants are computed once.
 
     Returns ``(included_lo, included_hi, unresolved_lo, unresolved_hi,
     boxes)``: the included boxes X~, the unresolved boxes and the number of
     boxes processed.
     """
-    stack = [(lo[None], hi[None])]
-    empty = np.empty((0, len(lo)))
-    included, unresolved = [(empty, empty)], [(empty, empty)]
+    kernel = interval.ScalarKernel(g, m)
+    stack = [np.array((lo, hi))[:, None]]  # stacks of boxes, shape (2, B, n)
+    empty = np.empty((2, 0, len(lo)))
+    included, unresolved = [empty], [empty]
     boxes = 0
     while stack:
-        blo, bhi = stack.pop()
-        while stack and len(blo) < _BOX_CHUNK:
-            plo, phi = stack.pop()
-            blo, bhi = np.concatenate([plo, blo]), np.concatenate([phi, bhi])
-        if len(blo) > _BOX_CHUNK:  # keep the deepest boxes, push the rest back
-            stack.append((blo[:-_BOX_CHUNK], bhi[:-_BOX_CHUNK]))
-            blo, bhi = blo[-_BOX_CHUNK:], bhi[-_BOX_CHUNK:]
-        boxes += len(blo)
+        X = stack.pop()
+        while stack and X.shape[1] < _BOX_CHUNK:
+            X = np.concatenate([stack.pop(), X], axis=1)
+        if X.shape[1] > _BOX_CHUNK:  # keep the deepest boxes, push the rest back
+            stack.append(X[:, :-_BOX_CHUNK])
+            X = X[:, -_BOX_CHUNK:]
+        boxes += X.shape[1]
         if boxes > opts.seed_cap:
             raise SolverError(f"box budget exceeded: more than {opts.seed_cap} boxes "
                               "(seed_cap) in branch and prune")
-        keep = ~interval.excluded(g, m, blo, bhi)
-        blo, bhi = blo[keep], bhi[keep]
-        if not len(blo):
+        X = X[:, ~kernel.excluded(X)]
+        if not X.shape[1]:
             continue
-        pad = (bhi - blo) / 16.0
-        wlo, whi = blo - pad, bhi + pad
-        klo, khi = interval.krawczyk(g, m, wlo, whi)
-        inc = np.all((klo > wlo) & (khi < whi), axis=1)
-        included.append((wlo[inc], whi[inc]))
+        pad = (X[1] - X[0]) / 16.0
+        W = np.array((X[0] - pad, X[1] + pad))
+        K = kernel.krawczyk(W)
+        inc = ((K[0] > W[0]) & (K[1] < W[1])).all(axis=1)
+        included.append(W[:, inc])
+        X, K = X[:, ~inc], K[:, ~inc]
         # fmax/fmin ignore a NaN bound of K: no information, no contraction
-        clo, chi = np.fmax(blo, klo)[~inc], np.fmin(bhi, khi)[~inc]
-        width = (chi - clo).max(axis=1)
-        live = np.all(clo <= chi, axis=1)
+        C = np.array((np.fmax(X[0], K[0]), np.fmin(X[1], K[1])))
+        width = (C[1] - C[0]).max(axis=1)
+        live = (C[0] <= C[1]).all(axis=1)
         small = live & (width < opts.dedup_tol)
-        unresolved.append((clo[small], chi[small]))
-        shrunk = live & ~small & (width <= 0.5 * (bhi - blo)[~inc].max(axis=1))
+        unresolved.append(C[:, small])
+        shrunk = live & ~small & (width <= 0.5 * (X[1] - X[0]).max(axis=1))
         split = live & ~small & ~shrunk
-        slo, shi = clo[split], chi[split]
-        axis = np.argmax(shi - slo, axis=1)
+        S = C[:, split]
+        axis = (S[1] - S[0]).argmax(axis=1)
         rows = np.arange(len(axis))
-        mid = slo[rows, axis] + 0.5 * (shi[rows, axis] - slo[rows, axis])
-        left_hi, right_lo = shi.copy(), slo.copy()
-        left_hi[rows, axis] = mid
-        right_lo[rows, axis] = mid
-        stack.append((np.concatenate([clo[shrunk], slo, right_lo]),
-                      np.concatenate([chi[shrunk], left_hi, shi])))
-    return (*map(np.concatenate, zip(*included)), *map(np.concatenate, zip(*unresolved)), boxes)
+        mid = S[0, rows, axis] + 0.5 * (S[1, rows, axis] - S[0, rows, axis])
+        left, right = S.copy(), S  # halves of S: [lo, mid] and [mid, hi] on the axis
+        left[1, rows, axis] = mid
+        right[0, rows, axis] = mid
+        stack.append(np.concatenate([C[:, shrunk], left, right], axis=1))
+    return (*np.concatenate(included, axis=1), *np.concatenate(unresolved, axis=1), boxes)
 
 
 def _cluster_seeds(problem: _Problem, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:

@@ -4,7 +4,8 @@ The grid path (``enumerate_report`` with an explicit ``grid_n``, the only
 entry point that takes one) is the reference the certified path must
 reproduce: the same roots at 1e-7, the same Morse data and the same
 degrees.  The kernel is checked against point evaluations of the residual
-and the Jacobian at random points of random boxes.
+and the Jacobian at random points of random boxes, and bit for bit against
+the one-term-at-a-time reference in ``reference_kernel.py``.
 """
 
 import tracemalloc
@@ -35,6 +36,8 @@ from cshlab.solve import (
     _scalar_problem,
     default_grid_n,
 )
+
+import reference_kernel
 
 GRAPHS = {"K2": complete_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
           "K5": complete_graph(5)}
@@ -126,13 +129,59 @@ def test_interval_kernel_encloses_point_values(centre, scale):
         mid = centre + rng.uniform(-scale, scale, (64, g.ell))
         half = rng.uniform(0.0, scale, (64, g.ell)) * rng.uniform(0.0, 1.0, (64, 1))
         lo, hi = mid - half, mid + half
-        Fl, Fh = interval.residual_bounds(g, m, lo, hi)
-        dl, dh = interval.jacobian_diag_bounds(g, m, lo, hi)
+        kernel = interval.ScalarKernel(g, m)
+        Fl, Fh = kernel.residual_bounds(np.array((lo, hi)))
+        dl, dh = kernel.jacobian_diag_bounds(np.array((lo, hi)))
         for _ in range(8):
             x = lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
             F, d = _point_residual(g, m, x), _point_diag(m, x)
             assert np.all((Fl <= F) & (F <= Fh)), (m, centre)
             assert np.all((dl <= d) & (d <= dh)), (m, centre)
+
+
+@pytest.mark.parametrize("centre,scale", [(0.0, 3.0), (-5.0, 0.01), (345.0, 8.0),
+                                          (-700.0, 4.0), (700.0, 2.0), (-760.0, 30.0)])
+def test_interval_kernel_matches_the_reference_bit_for_bit(centre, scale):
+    # the kernel object hoists its constants and stacks its per-box work; the
+    # reference evaluates one column, one term and one bound at a time
+    rng = np.random.default_rng(13)
+    models = [*_models(), (GRAPHS["K5"], ScalarModel(lam=-10.0, f=np.ones(5))),
+              (GRAPHS["K5"], ScalarModel(lam=4.0, f=rng.uniform(-2.0, 2.0, 5), p=2, sigma=0.5))]
+    for g, m in models:
+        kernel = interval.ScalarKernel(g, m)
+        for boxes in (1, 7, 64):
+            mid = centre + rng.uniform(-scale, scale, (boxes, g.ell))
+            half = rng.uniform(0.0, scale, (boxes, g.ell)) * rng.uniform(0.0, 1.0, (boxes, 1))
+            lo, hi = mid - half, mid + half
+            X = np.array((lo, hi))
+            pairs = [(kernel.residual_bounds(X), reference_kernel.residual_bounds(g, m, lo, hi)),
+                     (kernel.jacobian_diag_bounds(X),
+                      reference_kernel.jacobian_diag_bounds(g, m, lo, hi)),
+                     ([kernel.excluded(X)], [reference_kernel.excluded(g, m, lo, hi)]),
+                     (kernel.krawczyk(X), reference_kernel.krawczyk(g, m, lo, hi))]
+            for got, want in pairs:
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, (m, centre)
+                    assert a.tobytes() == b.tobytes(), (m, centre, boxes)
+
+
+def test_one_kernel_object_per_enumeration(monkeypatch):
+    # the kernel's constants are built once per enumeration, not per pass of
+    # the worklist (K5 takes about 14k boxes, in many passes)
+    built = []
+    real = interval.ScalarKernel.__init__
+
+    def counting_init(kernel, g, m):
+        built.append(m)
+        real(kernel, g, m)
+
+    monkeypatch.setattr(interval.ScalarKernel, "__init__", counting_init)
+    g = GRAPHS["K5"]
+    m = ScalarModel(lam=-10.0, f=np.ones(5))
+    rep = enumerate_report(g, m)
+    assert rep.certified and rep.boxes > 10 * solve_mod._BOX_CHUNK
+    assert built == [m]
 
 
 def test_interval_kernel_never_excludes_a_root_box():
@@ -149,8 +198,9 @@ def test_interval_kernel_never_excludes_a_root_box():
             w = 10.0 ** rng.uniform(-5, 1, (len(roots), 1))
             lo = roots - rng.uniform(0.0, 1.0, roots.shape) * w
             hi = lo + w
-            assert not interval.excluded(g, m, lo, hi).any(), name
-            klo, khi = interval.krawczyk(g, m, lo, hi)
+            kernel = interval.ScalarKernel(g, m)
+            assert not kernel.excluded(np.array((lo, hi))).any(), name
+            klo, khi = kernel.krawczyk(np.array((lo, hi)))
             assert np.all((klo <= roots) & (roots <= khi)), name
 
 
@@ -254,11 +304,11 @@ def test_worklist_memory_is_bounded_by_the_chunk(monkeypatch):
     r = solve_mod.apriori_radius(g, m).radius
     lo, hi = np.full(5, -r), np.full(5, r)
     sizes = []
-    real = interval.krawczyk
+    real = interval.ScalarKernel.krawczyk
 
-    def spy(g, m, lo, hi):
-        sizes.append(len(lo))
-        return real(g, m, lo, hi)
+    def spy(kernel, X):
+        sizes.append(X.shape[1])
+        return real(kernel, X)
 
     def peak(chunk):
         monkeypatch.setattr(solve_mod, "_BOX_CHUNK", chunk)
@@ -270,7 +320,7 @@ def test_worklist_memory_is_bounded_by_the_chunk(monkeypatch):
             tracemalloc.stop()
 
     unchunked, whole = peak(10 ** 7)
-    monkeypatch.setattr(interval, "krawczyk", spy)
+    monkeypatch.setattr(interval.ScalarKernel, "krawczyk", spy)
     chunked, small = peak(64)
     assert max(sizes) <= 64
     assert chunked[-1] == unchunked[-1] and len(chunked[0]) == len(unchunked[0]) == 31

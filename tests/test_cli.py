@@ -5,7 +5,7 @@ import pytest
 
 import cshlab.solve as solve_mod
 from cshlab import ScalarModel, complete_graph, residual, save_graph, sup_norm
-from cshlab.cli import main
+from cshlab.cli import _Emitter, main
 
 EVIDENCE = {"grid_levels", "grid_stable", "seeds_used", "certified", "boxes", "unresolved", "box"}
 
@@ -23,10 +23,16 @@ def _write_config(tmp_path, doc):
     return str(path)
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def _run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
-    return code, [json.loads(line) for line in out.splitlines() if line.strip()]
+    # strict JSON: Python's reader would accept NaN and Infinity
+    return code, [json.loads(line, parse_constant=_no_constant)
+                  for line in out.splitlines() if line.strip()]
 
 
 def test_degree_command(tmp_path, k2_path, capsys):
@@ -271,12 +277,15 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         # mean(f) = 0: no a priori ball, so the sweep needs a box
         ("sweep", {**scalar, "source": {"f": {"values": {"x1": 1.0, "x2": -1.0}}}},
          {"sweep": {"range": [-4.5, -5.5], "steps": 2}}, "pass box explicitly"),
-        # non-finite bounds: NaN passed the ordering check (an empty certified
-        # report), an infinite bound never finished
-        ("enumerate", scalar, {"enumerate": {"box": [float("nan"), 3.0]}}, "must not be NaN"),
-        ("degree", scalar, {"degree": {"radius": float("nan")}}, "must not be NaN"),
-        ("enumerate", scalar, {"enumerate": {"box": [-3.0, float("inf")]}}, "needs a finite box"),
-        ("degree", scalar, {"degree": {"radius": float("inf")}}, "needs a finite box"),
+        # non-finite bounds, for either model: the output is strict JSON, which
+        # has no NaN or Infinity to write them back with
+        ("enumerate", scalar, {"enumerate": {"box": [float("nan"), 3.0]}}, "box must be finite"),
+        ("degree", scalar, {"degree": {"radius": float("nan")}}, "radius must be finite"),
+        ("enumerate", scalar, {"enumerate": {"box": [-3.0, float("inf")]}}, "box must be finite"),
+        ("degree", scalar, {"degree": {"radius": float("inf")}}, "radius must be finite"),
+        ("degree", system, {"degree": {"radius": float("inf")}}, "radius must be finite"),
+        ("enumerate", system, {"enumerate": {"box": [[-3.0, -3.0, -3.0, float("-inf")], 3.0]}},
+         "box must be finite"),
         ("enumerate", scalar, {"parameters": {"lambda": float("nan")}}, "lam must be finite"),
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
         ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
@@ -293,6 +302,20 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         assert main([command, "--graph", k2_path, "--config", cfg7]) == 2, section
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, captured.err
+    # a system bound that overflows is refused before any record is written
+    for command in ("system", "degree"):
+        cfg8 = _write_config(tmp_path, {**system, "system": {"Lambda1": 2.0, "Lambda2": 1000.0}})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main([command, "--graph", k2_path, "--config", cfg8]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "the system bound overflows" in captured.err
+    # and any record holding a non-finite number is refused, not written
+    out = tmp_path / "out.jsonl"
+    emitter = _Emitter(str(out))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emitter.emit({"kind": "degree_report", "radius": float("inf")})
+    emitter.close()
+    assert out.read_text() == ""
 
 
 def test_grid_key_is_refused_in_every_section(tmp_path, k2_path, capsys):

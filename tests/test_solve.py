@@ -441,6 +441,32 @@ def _stack_problem(J: np.ndarray) -> _Problem:
                     hessian=None, anchors=lambda: [])
 
 
+def _masked_residual_rows(problem, X):
+    # _residual_rows without its shortcut for stacks wholly in range, kept as
+    # the reference: every row through the guard mask
+    out = np.full(X.shape, np.inf)
+    inb = sup_norm(X) <= EXP_GUARD
+    if inb.any():
+        out[inb] = problem.residual(X[inb])
+    return out
+
+
+def test_residual_rows_shortcut_matches_the_masked_path():
+    g = cycle_graph(4)
+    problems = (solve_mod._scalar_problem(g, ScalarModel(lam=-10.0, f=np.ones(4), p=2)),
+                solve_mod._system_problem(g, SystemModel(p=0.5, q=0.5, f=np.ones(4),
+                                                         g=np.ones(4))))
+    rng = np.random.default_rng(5)
+    for problem in problems:
+        X = rng.uniform(-40.0, 4.0, (300, problem.n))
+        assert _residual_rows(problem, X).tobytes() == _masked_residual_rows(problem, X).tobytes()
+        X[17, 1] = 701.0  # one row past the exp guard
+        F = _residual_rows(problem, X)
+        assert F.tobytes() == _masked_residual_rows(problem, X).tobytes()
+        assert np.isinf(F[17]).all() and np.isfinite(np.delete(F, 17, axis=0)).all()
+        assert _residual_rows(problem, X[:0]).shape == (0, problem.n)
+
+
 def test_newton_steps_mixed_stack_matches_row_by_row(k2):
     # regular rows, exactly singular rows (lam = 0, mean-zero source: the
     # Jacobian is the singular -Laplacian) and non-finite rows in one stack

@@ -323,11 +323,7 @@ def _system_bound(g, model, section: dict) -> SystemBound:
     if lam1 is None or lam2 is None:
         raise ConfigError("the system bound needs 'Lambda1' and 'Lambda2' "
                           "(the degree command also takes a 'radius' instead)")
-    bound = apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
-    if not np.isfinite(bound.bound):
-        raise ConfigError(f"the system bound overflows for Lambda1 = {bound.Lambda1:g}, "
-                          f"Lambda2 = {bound.Lambda2:g}")
-    return bound
+    return apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:

@@ -3,16 +3,41 @@
 A stack of B boxes is one array of shape (2, B, n): lower corners first,
 then upper corners; every bound comes back in the same layout, lower bounds
 first.  Every bound returned here encloses the exact real value at every
-point of every box.  Each floating-point operation rounds to nearest and
-the result is then moved one ulp outward with ``np.nextafter``, which
-covers that rounding error; ``exp`` is moved four ulps, since numpy's is
-not correctly rounded.
+point of every box.  Each elementwise floating-point operation rounds to
+nearest and the result is then moved one ulp outward with ``np.nextafter``,
+which covers that rounding error; ``exp`` is moved four ulps, since numpy's
+is not correctly rounded.
 A bound that overflows clamps to the largest finite float
 (``nextafter(inf, -inf)``), and an operation without a bound (``0 * inf``)
 gives NaN, which callers read as "no information": every comparison with NaN
-is false, so a NaN never excludes, includes or contracts a box.  No product
-goes through BLAS, whose summation order and rounding are unknown: a sum of
-interval terms is added left to right, one outward step per addition.
+is false, so a NaN never excludes, includes or contracts a box.
+
+Products with a point matrix (-L x in the residual, Y J(X) and Y F(c) in the
+Krawczyk operator) are taken in midpoint-radius form (S. M. Rump, "Fast and
+parallel interval arithmetic", BIT 39, 1999): the point products go through
+``np.matmul`` once, and their rounding is bounded a priori, not term by term.
+For any summation order, with or without fused multiply-adds,
+``|fl(P q) - P q| <= gamma_n |P| |q|`` with ``gamma_n = n u / (1 - n u)`` and
+``u = 2^-53`` (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., SIAM 2002, section 3.1).  On a graph of n vertices the kernel uses:
+
+* ``gamma = (n + 3) u`` on the magnitude of every midpoint that enters a
+  product: at least gamma_n plus the two roundings of the same size that
+  come with it (the midpoint's own and the one after the product);
+* a growth factor ``G = 1 + (2n + 16) u`` on every radius.  A radius is a sum
+  of nonnegative terms computed in rounding to nearest, fewer than 2n + 8
+  roundings (an n-term dot product counts n) from its exact value, so
+  multiplying by G leaves it an upper bound;
+* an absolute ``tiny = 2^-1000 (1 + ||L||_inf)`` on every radius a product
+  can underflow into: gradual underflow loses up to 2^-1075 a product, which
+  no relative factor covers.
+
+``np.nextafter`` is left on (B, n) vectors only.  A point product that
+overflows gives NaN or infinite bounds: no information.  Every product is
+stacked per box, ``(B, n, n) @ (B, n, 1)`` or ``(n, n) @ (B, n, 1)``, never
+one (B n, n) @ (n, n) gemm: BLAS blocks a large gemm by its size, so a box's
+bounds would depend on the boxes stacked with it, where a per-box product
+gives the same bits alone and in any stack.
 
 With ``t = e^u`` the nonlinearity is ``lam g(t)``, ``g(t) = t (t - sigma)^(2p-1)``.
 ``g`` falls on (0, sigma/(2p)) and rises after it (the critical point t = sigma
@@ -22,15 +47,13 @@ exactly from the endpoints and that minimum.  The Jacobian's diagonal term
 interval extension of that product.
 
 :class:`ScalarKernel` is the one entry point.  It holds everything that does
-not depend on the boxes for one graph and one scalar model: -L, the
-mu-weighted column sums of -L and the enclosure of int f dmu used by the
-integral test, the enclosures of sigma/(2p) and of g's minimum there, the
-exponents 2p - 1 and 2p - 2, the identity and the diagonal indices.  Branch
-and prune builds one per enumeration.  Inside it every interval array is a
-(2, ...) stack too, so the two bounds, both endpoints of g and all terms of
-a sum share each numpy call; the arithmetic on every element, and the order
-of every sum, are those of a one-term-at-a-time evaluation, so the bounds
-are the same bit for bit.
+not depend on the boxes for one graph and one scalar model: -L, |-L| scaled
+by G and by gamma, the rounding constants above, the mu-weighted column sums of
+-L and the enclosure of int f dmu used by the integral test, the enclosures
+of sigma/(2p) and of g's minimum there, the exponents 2p - 1 and 2p - 2, the
+identity and the diagonal indices.  Branch and prune builds one per
+enumeration.  Inside it every interval array is a (2, ...) stack too, so the
+two bounds, both endpoints of g and all terms of a sum share each numpy call.
 
 :meth:`ScalarKernel.krawczyk` evaluates the Krawczyk operator (R. Krawczyk,
 Computing 4, 1969; Moore, Kearfott and Cloud, Introduction to Interval
@@ -49,6 +72,12 @@ __all__ = ["ScalarKernel"]
 
 # ulps by which exp is widened on each side
 _EXP_ULPS = 4
+# unit roundoff of binary64, and the absolute floor (per unit of 1 + ||L||_inf)
+# that covers underflow in the point products
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1000
+# signs that turn a radius into the offsets of the lower and upper bounds
+_PM = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 # nextafter targets that move the lower bounds down and the upper bounds up,
 # shaped to broadcast against interval stacks of each dimension
 _OUTWARD = {d: np.array([-np.inf, np.inf]).reshape((2,) + (1,) * (d - 1)) for d in range(1, 6)}
@@ -124,9 +153,9 @@ def _exp_bounds(T):
     return T
 
 
-def _matvec(A, X):
-    """Enclosure of A x for a point matrix A, (n, n) or a (B, n, n) stack."""
-    return _sum_last(_scale(A, X[:, ..., None, :]))
+def _matvec(P, x):
+    """Point products ``P x``, one per box: P is (n, n) or (B, n, n), x is (B, n)."""
+    return np.matmul(P, x[..., None])[..., 0]
 
 
 class ScalarKernel:
@@ -140,6 +169,15 @@ class ScalarKernel:
 
     def __init__(self, g: WeightedGraph, m: ScalarModel):
         self.A = g.neg_laplacian_matrix()
+        n = g.ell
+        abs_A = np.abs(self.A)
+        # the rounding constants of the module docstring
+        self.gamma = (n + 3) * _U
+        self.grow = 1.0 + (2 * n + 16) * _U
+        self.tiny = _TINY * (1.0 + abs_A.sum(axis=1).max())
+        self.grow_abs_A = np.nextafter(self.grow * abs_A, np.inf)
+        self.gamma_abs_A = np.nextafter(self.gamma * abs_A, np.inf)
+        self.slack = np.nextafter(self.tiny + 4 * _U * np.abs(m.f), np.inf)
         self.mu, self.f = g.mu, m.f
         self.lam, self.sigma = m.lam, m.sigma
         self.two_p = 2 * m.p
@@ -167,9 +205,24 @@ class ScalarKernel:
         H[1] = np.where(left, ah, np.where(right, bh, np.maximum(ah, bh)))
         return _scale(self.lam, H)
 
+    def _linear(self, mid, v):
+        """``P +- R`` encloses -L x + f wherever ``|x - mid| <= v - (gamma - u) |mid|``.
+
+        ``P = A mid + f`` and ``R = G |A| v + slack``, with ``slack = tiny + 4u |f|``;
+        G also covers the rounding of the few operations that computed v.  R
+        covers the rounding of P and of ``P -+ R``, so ``P - R`` and ``P + R``
+        are bounds as computed.
+        """
+        return _matvec(self.A, mid) + self.f, _matvec(self.grow_abs_A, v) + self.slack
+
     def _residual(self, X, H):
         """Residual enclosure from the nonlinear term's enclosure ``H``."""
-        return _out(_out(_matvec(self.A, X) + H) + self.f)
+        half = 0.5 * X
+        mid = half[0] + half[1]
+        # the half-width, plus gamma |mid| for the rounding of mid and of A mid
+        P, R = self._linear(mid, (half[1] - half[0]) + self.gamma * np.abs(mid))
+        R += 0.0 * P  # an overflowing A mid leaves no bound
+        return _out(P + _PM * R + H)
 
     def _diag(self, T):
         """Enclosure of the Jacobian's nonlinear diagonal from the exp enclosure ``T``."""
@@ -191,6 +244,13 @@ class ScalarKernel:
         J[:] = self.A
         J[:, i, i] += self.lam * t * (t - self.sigma) ** self.k_d * (self.two_p * t - self.sigma)
         return J
+
+    def _centre(self, X):
+        """Box midpoints ``c``, ``t = e^c`` and Y, a floating-point inverse of J(c)."""
+        lo, hi = X
+        c = np.clip(lo + 0.5 * (hi - lo), lo, hi)
+        t = np.exp(c)
+        return c, t, _approximate_inverse(self._jacobian_at(t))
 
     def residual_bounds(self, X):
         """Enclosure of ``F(u) = -L u + lam e^u (e^u - sigma)^(2p-1) + f`` over each box."""
@@ -227,24 +287,36 @@ class ScalarKernel:
         exactly one root and every matrix in J(X) is regular, so sign det J is the
         same on the whole box.  Returns the bounds of K(X).
         """
-        A = self.A
-        lo, hi = X
         with np.errstate(all="ignore"):
-            c = np.clip(lo + 0.5 * (hi - lo), lo, hi)
-            t = np.exp(c)
-            Y = _approximate_inverse(self._jacobian_at(t))
-            C = np.array((c, c))
-            V = _matvec(Y, self._residual(C, self._nonlinear(_exp_bounds(np.array((t, t))))))
+            c, t, Y = self._centre(X)
+            P, RP = self._linear(c, self.gamma * np.abs(c))
+            H = self._nonlinear(_exp_bounds(np.array((t, t))))
             D = self._diag(_exp_bounds(np.exp(X)))
-            # M = I - Y J(X), with Y J(X) = Y A + Y diag(d) entry by entry and
-            # Y A one column of Y at a time
-            M = _widen(Y[..., :, 0, None] * A[0])
-            for k in range(1, len(A)):
-                M = _out(M + _widen(Y[..., :, k, None] * A[k]))
-            M = _out(M + _scale(Y, D[:, :, None, :]))
-            M = _out(self.eye - M[::-1])
-            S = _sum_last(_mul(M, _out(X - c)[:, :, None, :]))
-            return _out(_out(c - V[::-1]) + S)
+            # F(c) = P + H lies in Fm +- Q[0] and d(X) in Dm +- Q[1], where the
+            # gamma |mid| terms also cover the rounding of Y Fm and of Y diag(Dm)
+            half = 0.5 * np.array((H, D))
+            mid = half[:, 0] + half[:, 1]
+            mid[0] += P
+            Fm, Dm = mid
+            Q = (half[:, 1] - half[:, 0]) + self.gamma * np.abs(mid)
+            Q[0] += RP
+            r = np.nextafter(np.abs(X - c).max(axis=0), np.inf)  # |X - c| <= r
+            # I - Y J(X) lies in M +- (|Y| diag(Q[1]) + gamma |Y| |A| + tiny), with
+            # M = I - Y (A + diag(Dm)) at the midpoint of J(X); |Y| diag(Q[1]) is
+            # formed before it meets r, as Y J(X) is, so a wide D(X) overflows no
+            # sooner than the product it bounds
+            M = self.eye - np.matmul(Y, self.A) - Y * Dm[:, None, :]
+            abs_Y = np.abs(Y)
+            np.abs(M, out=M)
+            M += abs_Y * Q[1][:, None, :]
+            M += self.tiny
+            # K(X) = c - Y Fm +- R, with R covering the rounding of c - Y Fm and of
+            # the bounds; an infinite c - Y Fm makes R infinite, the bounds NaN
+            w = Q[0] + _matvec(self.gamma_abs_A, r)
+            R = (_matvec(M, r) + _matvec(abs_Y, w)) * self.grow
+            kc = c - _matvec(Y, Fm)
+            R += 3 * _U * np.abs(kc) + self.tiny
+            return kc + _PM * R
 
 
 def _approximate_inverse(J: np.ndarray) -> np.ndarray:

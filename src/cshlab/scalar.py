@@ -117,7 +117,7 @@ class AprioriData:
 
 
 def _check_range(*arrays: np.ndarray) -> None:
-    if any(np.abs(a).max() > EXP_GUARD for a in arrays):
+    if any(np.abs(a).max(initial=0.0) > EXP_GUARD for a in arrays):
         raise OverflowGuardError(
             f"vertex function leaves [-{EXP_GUARD:.0f}, {EXP_GUARD:.0f}]"
         )

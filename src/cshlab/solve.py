@@ -286,7 +286,7 @@ def _make_problem(g: WeightedGraph, model) -> _Problem:
 def _residual_rows(problem: _Problem, X: np.ndarray) -> np.ndarray:
     """Residuals for rows inside the exp guard; +inf rows elsewhere."""
     inb = sup_norm(X) <= EXP_GUARD
-    if len(X) and inb.all():  # no mask to fill, gather and scatter back
+    if inb.all():  # no mask to fill, gather and scatter back
         return problem.residual(X)
     out = np.full(X.shape, np.inf)
     if inb.any():

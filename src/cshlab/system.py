@@ -223,7 +223,9 @@ def apriori_bound_system(
     actually satisfy the Lambda constraints.  The constants C1, C2 solve the
     monotone relations ``Lambda1^-1 / (2q |V|) = (e^(2 Ct (L2+L3)) + 1)^(2p)
     e^M (e^M + 1)^(2q-1)`` (and the p/q-swapped analog) by bisection, which is
-    exact because the right side is strictly increasing in M.
+    exact because the right side is strictly increasing in M.  Raises
+    ``ValueError`` when the bound overflows (large ``Lambda2``), rather than
+    return an infinite ball.
     """
     fbar, gbar = average(g, s.f), average(g, s.g)
     if fbar <= 0.0 or gbar <= 0.0:
@@ -257,6 +259,9 @@ def apriori_bound_system(
     C1 = -_bisect_increasing(rhs(s.two_p, s.two_q), 1.0 / (Lambda1 * 2.0 * s.q * g.volume))
     C2 = -_bisect_increasing(rhs(s.two_q, s.two_p), 1.0 / (Lambda1 * 2.0 * s.p * g.volume))
     bound = max(4.0 * ct * (Lambda2 + Lambda3), C1 + c, C2 + c)
+    if not np.isfinite(bound):
+        raise ValueError(f"the system bound overflows for Lambda1 = {Lambda1:g}, "
+                         f"Lambda2 = {Lambda2:g}")
     return SystemBound(
         Lambda1=float(Lambda1),
         Lambda2=float(Lambda2),

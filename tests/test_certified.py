@@ -4,11 +4,15 @@ The grid path (``enumerate_report`` with an explicit ``grid_n``, the only
 entry point that takes one) is the reference the certified path must
 reproduce: the same roots at 1e-7, the same Morse data and the same
 degrees.  The kernel is checked against point evaluations of the residual
-and the Jacobian at random points of random boxes, and bit for bit against
-the one-term-at-a-time reference in ``reference_kernel.py``.
+and the Jacobian at random points of random boxes, against the Krawczyk
+operator's point images in exact rational arithmetic, and against the
+one-term-at-a-time reference in ``reference_kernel.py``: bit for bit where
+the arithmetic is the same, within rounding where the kernel takes products
+in midpoint-radius form.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,17 +125,27 @@ def _point_diag(m, x):
         return m.lam * e * (e - m.sigma) ** (2 * m.p - 2) * (2 * m.p * e - m.sigma)
 
 
-@pytest.mark.parametrize("centre,scale", [(0.0, 3.0), (-5.0, 0.01), (345.0, 8.0),
-                                          (-700.0, 4.0), (700.0, 2.0), (-760.0, 30.0)])
+# centres and scales of random boxes: moderate, narrow, near overflow and
+# underflow of exp, and past the exp guard on both sides
+KERNEL_BOXES = [(0.0, 3.0), (-5.0, 0.01), (345.0, 8.0), (-700.0, 4.0), (700.0, 2.0),
+                (-760.0, 30.0)]
+
+
+def _random_boxes(rng, centre, scale, boxes, n):
+    mid = centre + rng.uniform(-scale, scale, (boxes, n))
+    half = rng.uniform(0.0, scale, (boxes, n)) * rng.uniform(0.0, 1.0, (boxes, 1))
+    return np.array((mid - half, mid + half))
+
+
+@pytest.mark.parametrize("centre,scale", KERNEL_BOXES)
 def test_interval_kernel_encloses_point_values(centre, scale):
     rng = np.random.default_rng(11)
     for g, m in _models():
-        mid = centre + rng.uniform(-scale, scale, (64, g.ell))
-        half = rng.uniform(0.0, scale, (64, g.ell)) * rng.uniform(0.0, 1.0, (64, 1))
-        lo, hi = mid - half, mid + half
+        X = _random_boxes(rng, centre, scale, 64, g.ell)
+        lo, hi = X
         kernel = interval.ScalarKernel(g, m)
-        Fl, Fh = kernel.residual_bounds(np.array((lo, hi)))
-        dl, dh = kernel.jacobian_diag_bounds(np.array((lo, hi)))
+        Fl, Fh = kernel.residual_bounds(X)
+        dl, dh = kernel.jacobian_diag_bounds(X)
         for _ in range(8):
             x = lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
             F, d = _point_residual(g, m, x), _point_diag(m, x)
@@ -139,31 +153,132 @@ def test_interval_kernel_encloses_point_values(centre, scale):
             assert np.all((dl <= d) & (d <= dh)), (m, centre)
 
 
-@pytest.mark.parametrize("centre,scale", [(0.0, 3.0), (-5.0, 0.01), (345.0, 8.0),
-                                          (-700.0, 4.0), (700.0, 2.0), (-760.0, 30.0)])
-def test_interval_kernel_matches_the_reference_bit_for_bit(centre, scale):
-    # the kernel object hoists its constants and stacks its per-box work; the
-    # reference evaluates one column, one term and one bound at a time
+def _assert_no_wider(got, want, what):
+    # where the reference's enclosure is finite, the kernel's is too and at
+    # most 1e-10 (1 + |bound|) wider
+    finite = np.isfinite(want[1] - want[0])
+    slack = 1e-10 * (1.0 + np.maximum(np.abs(want[0]), np.abs(want[1])))
+    assert np.all((got[1] - got[0] <= want[1] - want[0] + slack)[finite]), what
+
+
+@pytest.mark.parametrize("centre,scale", KERNEL_BOXES)
+def test_interval_kernel_matches_the_reference_within_rounding(centre, scale):
+    # the reference evaluates one column, one term and one bound at a time.
+    # The Jacobian diagonal does the same arithmetic and matches it bit for
+    # bit; the residual and the Krawczyk operator take their products with -L
+    # and Y in midpoint-radius form, so they are checked for containment at
+    # sampled points and for width against the reference
     rng = np.random.default_rng(13)
     models = [*_models(), (GRAPHS["K5"], ScalarModel(lam=-10.0, f=np.ones(5))),
               (GRAPHS["K5"], ScalarModel(lam=4.0, f=rng.uniform(-2.0, 2.0, 5), p=2, sigma=0.5))]
     for g, m in models:
         kernel = interval.ScalarKernel(g, m)
         for boxes in (1, 7, 64):
-            mid = centre + rng.uniform(-scale, scale, (boxes, g.ell))
-            half = rng.uniform(0.0, scale, (boxes, g.ell)) * rng.uniform(0.0, 1.0, (boxes, 1))
-            lo, hi = mid - half, mid + half
-            X = np.array((lo, hi))
-            pairs = [(kernel.residual_bounds(X), reference_kernel.residual_bounds(g, m, lo, hi)),
-                     (kernel.jacobian_diag_bounds(X),
-                      reference_kernel.jacobian_diag_bounds(g, m, lo, hi)),
-                     ([kernel.excluded(X)], [reference_kernel.excluded(g, m, lo, hi)]),
-                     (kernel.krawczyk(X), reference_kernel.krawczyk(g, m, lo, hi))]
-            for got, want in pairs:
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and a.shape == b.shape, (m, centre)
-                    assert a.tobytes() == b.tobytes(), (m, centre, boxes)
+            X = _random_boxes(rng, centre, scale, boxes, g.ell)
+            lo, hi = X
+            what = (m, centre, boxes)
+            D = kernel.jacobian_diag_bounds(X)
+            D_ref = reference_kernel.jacobian_diag_bounds(g, m, lo, hi)
+            assert np.array(D_ref).tobytes() == D.tobytes(), what
+            F = kernel.residual_bounds(X)
+            F_ref = reference_kernel.residual_bounds(g, m, lo, hi)
+            _assert_no_wider(F, F_ref, what)
+            K = kernel.krawczyk(X)
+            _assert_no_wider(K, reference_kernel.krawczyk(g, m, lo, hi), what)
+            # exclusion follows the residual and the integral test, which is
+            # unchanged: the flags agree wherever the reference's residual
+            # bounds keep clear of zero by more than the width slack
+            near = (np.abs(F_ref) <= 1e-10 * (1.0 + np.abs(F_ref))).any(axis=(0, 2))
+            same = kernel.excluded(X) == reference_kernel.excluded(g, m, lo, hi)
+            assert np.all(same | near), what
+            # containment: F(x), and the Newton image x - Y F(x), which lies in
+            # K(X) by the mean value theorem; F(x) and the product are enclosed
+            # by the reference, whose result must meet K(X)
+            with np.errstate(all="ignore"):
+                c, _, Y = kernel._centre(X)
+            for _ in range(4):
+                x = lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
+                Fx = _point_residual(g, m, x)
+                assert np.all((F[0] <= Fx) & (Fx <= F[1])), what
+                Fl, Fh = reference_kernel.residual_bounds(g, m, x, x)
+                with np.errstate(all="ignore"):
+                    vl, vh = reference_kernel._matvec(Y, Fl, Fh)
+                    Nl, Nh = np.nextafter(x - vh, -np.inf), np.nextafter(x - vl, np.inf)
+                known = np.isfinite(Nl) & np.isfinite(Nh) & ~np.isnan(K).any(axis=0)
+                assert np.all(((K[0] <= Nh) & (Nl <= K[1]))[known]), what
+
+
+def _exact(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+@pytest.mark.parametrize("centre,scale", KERNEL_BOXES)
+def test_krawczyk_encloses_its_exact_point_images(centre, scale):
+    # K(X) must hold c - Y F + (I - Y (A + diag d)) (x - c) for every x in X,
+    # every d in the Jacobian diagonal's enclosure over X and every F in the
+    # enclosure of F(c), with the kernel's own c and Y; evaluated in exact
+    # rational arithmetic at corners and random points of those sets
+    rng = np.random.default_rng(17)
+    checked = 0
+    for g, m in _models():
+        kernel = interval.ScalarKernel(g, m)
+        X = _random_boxes(rng, centre, scale, 8, g.ell)
+        with np.errstate(all="ignore"):
+            c, _, Y = kernel._centre(X)
+        FC = kernel.residual_bounds(np.array((c, c)))
+        D = kernel.jacobian_diag_bounds(X)
+        K = kernel.krawczyk(X)
+        A, I = _exact(kernel.A), _exact(np.eye(g.ell))
+        for b in range(X.shape[1]):
+            for _ in range(3):
+                s = rng.choice([0.0, 1.0, 0.5], (3, g.ell), p=[0.4, 0.4, 0.2])
+                s[s == 0.5] = rng.uniform(0.0, 1.0, (s == 0.5).sum())
+                with np.errstate(all="ignore"):
+                    x, d, F = (np.clip(B[0, b] + s[k] * (B[1, b] - B[0, b]), B[0, b], B[1, b])
+                               for k, B in enumerate((X, D, FC)))
+                if not all(np.isfinite(v).all() for v in (x, d, F, Y[b])):
+                    continue
+                Yb, cb = _exact(Y[b]), _exact(c[b])
+                M = I - Yb.dot(A + np.diag(_exact(d)))
+                image = cb - Yb.dot(_exact(F)) + M.dot(_exact(x) - cb)
+                for i in range(g.ell):
+                    lo_i, hi_i = K[0, b, i], K[1, b, i]
+                    assert not (np.isfinite(lo_i) and image[i] < Fraction(lo_i)), (m, centre, b)
+                    assert not (np.isfinite(hi_i) and image[i] > Fraction(hi_i)), (m, centre, b)
+                    checked += not np.isnan(lo_i) and not np.isnan(hi_i)
+    assert checked or centre == 700.0
+
+
+def test_krawczyk_without_an_inverse_holds_the_box():
+    # lam = 0: J(c) = -L is singular, Y = 0 and K(X) = c + (X - c) >= X
+    g = GRAPHS["P3"]
+    kernel = interval.ScalarKernel(g, ScalarModel(lam=0.0, f=np.array([1.0, -0.5, -1.0])))
+    X = _random_boxes(np.random.default_rng(5), 1.0, 3.0, 16, g.ell)
+    assert not kernel._centre(X)[2].any()
+    K = kernel.krawczyk(X)
+    assert np.all((K[0] <= X[0]) & (X[1] <= K[1]))
+
+
+@pytest.mark.parametrize("name", ["K5", "C8"])
+def test_interval_kernel_bounds_do_not_depend_on_the_stack(name):
+    # products are taken per box: a box alone gets the same bits as inside a
+    # stack of 1,024 (one (B n, n) gemm would block by B and differ)
+    g = complete_graph(5) if name == "K5" else cycle_graph(8)
+    m = ScalarModel(lam=-10.0, f=np.ones(g.ell))
+    kernel = interval.ScalarKernel(g, m)
+    rng = np.random.default_rng(19)
+    r = solve_mod.apriori_radius(g, m).radius
+    mid = rng.uniform(-r, r, (1024, g.ell))
+    half = r * 10.0 ** rng.uniform(-6.0, -1.0, (1024, 1)) * rng.uniform(0.1, 1.0, (1024, g.ell))
+    X = np.array((mid - half, mid + half))
+    methods = (kernel.residual_bounds, kernel.jacobian_diag_bounds, kernel.excluded,
+               kernel.krawczyk)
+    whole = [f(X) for f in methods]
+    for b in rng.choice(1024, 48, replace=False):
+        for f, stacked in zip(methods, whole):
+            alone = f(X[:, b:b + 1])
+            box_axis = 1 if alone.ndim == 3 else 0
+            assert alone.tobytes() == np.take(stacked, [b], axis=box_axis).tobytes()
 
 
 def test_one_kernel_object_per_enumeration(monkeypatch):

@@ -66,6 +66,13 @@ def test_residual_overflow_guard(k2):
         jacobian(k2, m, np.array([0.0, -701.0]))
 
 
+def test_residual_and_jacobian_of_an_empty_stack(k2):
+    # the range guard reduces over the stack, which has no rows here
+    m = ScalarModel(lam=-10.0, f=np.ones(2))
+    assert residual(k2, m, np.empty((0, 2))).shape == (0, 2)
+    assert jacobian(k2, m, np.empty((0, 2))).shape == (0, 2, 2)
+
+
 def _ipow_loop(x, k):
     # the original product, started from ones; kept as the reference
     out = np.ones_like(x)

@@ -127,6 +127,10 @@ def test_apriori_bound_rejects_bad_inputs(k2):
     neg = SystemModel(p=0.5, q=0.5, f=-np.ones(2), g=np.ones(2))
     with pytest.raises(ValueError, match="mean"):
         apriori_bound_system(k2, neg, Lambda1=2.0, Lambda2=1.0)
+    # exp(2 Ct (Lambda2 + Lambda3)) overflows: an error, not an infinite ball
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="the system bound overflows"):
+            apriori_bound_system(k2, s, Lambda1=2.0, Lambda2=1000.0)
 
 
 def test_manufactured_root_is_exact(k2):

@@ -57,16 +57,13 @@ from .system import (
     residual_pair,
 )
 from .solve import (
-    BoxExtremum,
     ClassifiedSolution,
     EnumerationReport,
     MorseData,
     SolveOptions,
     SubsolutionBounds,
-    box_extremize,
     enumerate_report,
     enumerate_solutions,
-    extremize_scalar_in_box,
     morse_data,
     newton,
     solve_scalar,

@@ -33,12 +33,7 @@ from .scalar import (
     jacobian,
     residual,
 )
-from .solve import (
-    SolveOptions,
-    enumerate_solutions,
-    extremize_scalar_in_box,
-    subsolution_bounds,
-)
+from .solve import SolveOptions, enumerate_report, enumerate_solutions, subsolution_bounds
 from .system import SystemModel, functional_G, hessian_system, jacobian_system, residual_pair
 
 __all__ = [
@@ -265,7 +260,10 @@ def check_system_consistency(seed: int = 0, trials: int = 60) -> list[str]:
 def check_solver(seed: int = 0) -> list[str]:
     """Classified-solution re-verification, box independence (K2, lam = -10,
     f = 1: the roots found in (-9, 3) are the a priori ball's roots in it) and
-    the bracketing route to an interior minimizer."""
+    the bracketing route: for lam in {1, 4} and a random mean-zero f on K2, P3,
+    C4, C6 and K5, certified enumeration of the sub/super-solution bracket
+    finds exactly one root, strictly inside it, of Morse index 0 (the float
+    index of ``morse_data``)."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
     opts = SolveOptions()
@@ -284,7 +282,8 @@ def check_solver(seed: int = 0) -> list[str]:
             if not any(np.abs(r.point - s.point).max() <= opts.dedup_tol for s in other):
                 bad.append(f"a root in (-9, 3) is missing from the run over {what}")
 
-    for gg in (g, path_graph(3), cycle_graph(4)):
+    for name, gg in (("K2", g), ("P3", path_graph(3)), ("C4", cycle_graph(4)),
+                     ("C6", cycle_graph(6)), ("K5", complete_graph(5))):
         for lam in (1.0, 4.0):
             f = rng.uniform(-1.0, 1.0, gg.ell)
             f -= average(gg, f)
@@ -292,12 +291,20 @@ def check_solver(seed: int = 0) -> list[str]:
             if bounds is None:
                 bad.append("subsolution bracket unavailable for mean-zero source")
                 continue
-            m2 = ScalarModel(lam=lam, f=f)
-            ext = extremize_scalar_in_box(gg, m2, bounds.lower, bounds.upper, mode="min", opts=opts)
-            if not ext.interior:
-                bad.append(f"bracketed minimizer touched the boundary at lam={lam}")
-            elif sup_norm(residual(gg, m2, ext.point)) > 1e-9:
-                bad.append(f"bracketed minimizer is not a root at lam={lam}")
+            # the float mean of f may be nonzero at rounding level, which makes
+            # the a priori radius meaningless here: skip the box check
+            rep = enumerate_report(gg, ScalarModel(lam=lam, f=f),
+                                   box=(bounds.lower, bounds.upper), opts=opts, check_box=False)
+            where = f"{name} at lam={lam}"
+            if not rep.certified:
+                bad.append(f"bracket enumeration is not certified on {where}")
+            if len(rep.roots) != 1:
+                bad.append(f"bracket holds {len(rep.roots)} roots, not one, on {where}")
+            for r in rep.roots:
+                if r.morse_index != 0:
+                    bad.append(f"bracketed root has Morse index {r.morse_index} on {where}")
+                if not (np.all(r.point > bounds.lower) and np.all(r.point < bounds.upper)):
+                    bad.append(f"bracketed root is not interior on {where}")
     return bad
 
 

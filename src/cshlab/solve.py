@@ -47,11 +47,15 @@ with a strictly lower residual).  Roots are classified through the eigenvalues o
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
-``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path,
-and ``box_extremize`` polishes its interior extremizers through ``newton``:
+``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path:
 a non-finite seed or one outside the exp guard is rejected, and a failed run
 raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
 stalled, the iterate left the admissible range, or max_iter was exceeded).
+
+For lam > 0 and a mean-zero source, :func:`subsolution_bounds` gives a
+finite box between a sub- and a super-solution; certified enumeration of that
+box (``enumerate_report(g, m, box=(b.lower, b.upper), check_box=False)``)
+proves every root in it.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from .scalar import (
     _check_range,
     apriori_radius,
     constant_solutions,
-    energy as scalar_energy,
     jacobian as scalar_jacobian,
     residual as scalar_residual,
 )
@@ -84,7 +87,6 @@ __all__ = [
     "ClassifiedSolution",
     "MorseData",
     "EnumerationReport",
-    "BoxExtremum",
     "SubsolutionBounds",
     "morse_data",
     "newton",
@@ -92,8 +94,6 @@ __all__ = [
     "solve_system",
     "enumerate_solutions",
     "enumerate_report",
-    "box_extremize",
-    "extremize_scalar_in_box",
     "subsolution_bounds",
     "default_grid_n",
 ]
@@ -534,25 +534,22 @@ def newton(
     opts: SolveOptions | None = None,
     *,
     mu: np.ndarray | None = None,
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ClassifiedSolution:
     """Damped Newton from one seed; raises :class:`SolverError` on failure.
 
     ``mu`` supplies the vertex measure used to classify the root (ones when
-    omitted); ``hessian`` overrides the matrix used for classification, which
-    defaults to the residual Jacobian (correct for the scalar model, where the
-    Jacobian is the energy Hessian).  With ``opts.check_callbacks`` the
+    omitted); the root is classified through the residual Jacobian (the
+    energy Hessian for the scalar model).  With ``opts.check_callbacks`` the
     Jacobian is verified against central differences at the seed first.
     """
     seed = np.asarray(seed, dtype=float)
-    hess = hessian or jacobian
     # the callbacks take one point; a one-seed batch evaluates one row per call
     problem = _Problem(
         n=len(seed),
         mu=np.ones(len(seed)) if mu is None else np.asarray(mu, dtype=float),
         residual=lambda X: np.asarray(residual(X[0]), dtype=float)[None],
         jacobian=lambda X: np.asarray(jacobian(X[0]), dtype=float)[None],
-        hessian=lambda x: np.asarray(hess(x), dtype=float),
+        hessian=lambda x: np.asarray(jacobian(x), dtype=float),
         anchors=lambda: [],
     )
     return _solve_one(problem, seed, opts or SolveOptions())
@@ -1001,156 +998,11 @@ def enumerate_solutions(
 
 
 # ---------------------------------------------------------------------------
-# box-constrained extremization
-
-@dataclass
-class BoxExtremum:
-    """Outcome of extremizing an energy over a closed box.
-
-    Interior extremizers are polished into unconstrained critical points and
-    carry a strictness certificate from the Hessian; boundary contacts are
-    reported with the touching coordinates instead (the shape of the argument
-    used to rule them out analytically).
-    """
-
-    point: np.ndarray
-    value: float
-    interior: bool
-    touching: tuple[tuple[int, str], ...]
-    solution: ClassifiedSolution | None
-    certificate: str | None
-
-
-# L-BFGS-B starts of box_extremize: centre, two quarter points, random points.
-_EXTREMIZE_STARTS = 8
-
-
-def box_extremize(
-    energy: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    lower: np.ndarray,
-    upper: np.ndarray,
-    mode: str = "min",
-    opts: SolveOptions | None = None,
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> BoxExtremum:
-    """Extremize ``energy`` over ``{lower <= x <= upper}`` componentwise.
-
-    ``energy`` and ``gradient`` use plain coordinates (``gradient`` returns
-    the ordinary partial derivatives).  ``mode`` is "min" or "max".  Runs
-    multi-start L-BFGS-B, then either reports the boundary contact or Newton-
-    polishes the interior extremizer and certifies its type.
-
-    The polish is :func:`newton` on ``gradient`` with ``hessian`` as its
-    Jacobian (central differences of ``gradient`` when omitted), under the
-    tolerance and iteration budget of ``opts`` and Newton's fixed line search
-    and six polish steps: the extremizer must lie inside the exp guard
-    [-700, 700], the Hessian must be symmetric at the root, and with
-    ``opts.check_callbacks`` ``hessian`` is checked against differences of
-    ``gradient`` first
-    (``ValueError`` on any of these).  ``solution`` is the classified root
-    ``newton`` returns (unit vertex measure).  A polish that fails, or that
-    ends on or outside the box, raises :class:`SolverError`.
-    """
-    opts = opts or SolveOptions()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape:
-        raise ValueError("box bounds have mismatched shapes")
-    if np.any(upper <= lower):
-        raise ValueError("degenerate box: need lower < upper componentwise")
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
-    sign = 1.0 if mode == "min" else -1.0
-    n = len(lower)
-    width = upper - lower
-
-    rng = np.random.default_rng(opts.rng_seed)
-    starts = [0.5 * (lower + upper), lower + 0.25 * width, upper - 0.25 * width]
-    starts += [lower + rng.uniform(0.05, 0.95, size=n) * width for _ in range(_EXTREMIZE_STARTS - 3)]
-    for s in starts:
-        if not np.isfinite(energy(s)):
-            raise SolverError("non-finite energy inside the box")
-
-    from scipy import optimize as sciopt  # imported here, by its only user
-    best = None
-    for s in starts:
-        r = sciopt.minimize(
-            lambda x: sign * float(energy(x)),
-            s,
-            jac=lambda x: sign * np.asarray(gradient(x), dtype=float),
-            bounds=list(zip(lower, upper)),
-            method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        if best is None or r.fun < best.fun:
-            best = r
-    x = np.clip(best.x, lower, upper)
-
-    btol = 1e-7 * np.maximum(1.0, width)
-    lo_touch = x - lower <= btol
-    hi_touch = upper - x <= btol
-    touching = tuple(
-        [(int(i), "lower") for i in np.nonzero(lo_touch)[0]]
-        + [(int(i), "upper") for i in np.nonzero(hi_touch)[0]]
-    )
-    if touching:
-        return BoxExtremum(
-            point=x,
-            value=float(energy(x)),
-            interior=False,
-            touching=touching,
-            solution=None,
-            certificate=None,
-        )
-
-    hess = hessian or (lambda z: _fd_jacobian(gradient, z))
-    solution = newton(gradient, hess, x, opts)
-    x = solution.point
-    if not (np.all(x > lower) and np.all(x < upper)):
-        raise SolverError("interior extremizer polish left the box")
-    if solution.nondegenerate and solution.morse_index == 0 and mode == "min":
-        certificate = "strict-min"
-    elif solution.nondegenerate and solution.morse_index == n and mode == "max":
-        certificate = "strict-max"
-    else:
-        certificate = "degenerate"
-    return BoxExtremum(
-        point=x,
-        value=float(energy(x)),
-        interior=True,
-        touching=(),
-        solution=solution,
-        certificate=certificate,
-    )
-
-
-def extremize_scalar_in_box(
-    g: WeightedGraph,
-    m: ScalarModel,
-    lower,
-    upper,
-    mode: str = "min",
-    opts: SolveOptions | None = None,
-) -> BoxExtremum:
-    """Box extremization of the scalar energy with analytic callbacks."""
-    return box_extremize(
-        energy=lambda u: scalar_energy(g, m, u),
-        gradient=lambda u: scalar_residual(g, m, u) * g.mu,
-        lower=_broadcast(lower, g.ell),
-        upper=_broadcast(upper, g.ell),
-        mode=mode,
-        opts=opts,
-        hessian=lambda u: scalar_jacobian(g, m, u) * g.mu[:, None],
-    )
-
-
-# ---------------------------------------------------------------------------
 # super/sub-solution bracketing for lam > 0, mean-zero source
 
 @dataclass(frozen=True)
 class SubsolutionBounds:
-    """Bracketing box whose minimizer is an interior solution (lam > 0)."""
+    """Bracketing box between a sub- and a super-solution (lam > 0)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -1166,9 +1018,14 @@ def subsolution_bounds(g: WeightedGraph, f: np.ndarray, lam: float) -> Subsoluti
     returns None otherwise.  ``kappa1 = lam/2 * min(1, e^(-max u0))`` makes
     the lower function a strict sub-solution; the constant upper bound A >= 1
     is the smallest value with ``lam e^A (e^A - 1) >= ||f||_inf + 1``, hence a
-    strict super-solution.  Minimizing the energy over the box then yields an
-    interior solution.
+    strict super-solution, so the energy's minimizer over the box is an
+    interior solution.  Certified enumeration of the box
+    (:func:`enumerate_report` with ``check_box=False``) proves every root in
+    it; its Morse index is the float one of :func:`morse_data`.
+    ``ValueError`` unless lam is finite and positive.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     if lam <= 0.0:
         raise ValueError("subsolution bracket requires lam > 0")
     f = np.asarray(f, dtype=float)

@@ -12,11 +12,9 @@ from cshlab import (
     SolverError,
     SystemModel,
     apriori_radius,
-    box_extremize,
     constant_solutions,
     cycle_graph,
     enumerate_report,
-    extremize_scalar_in_box,
     jacobian,
     morse_data,
     newton,
@@ -89,17 +87,30 @@ def test_only_enumerate_report_takes_a_grid():
     assert with_grid == ["enumerate_report"]
 
 
-def test_import_does_not_load_scipy():
+def _modules_loaded_by(code: str, package: str) -> list[str]:
+    """Modules of ``package`` in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    import json
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    code = "import sys, cshlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.'))))")
     src = str(Path(solve_mod.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_import_does_not_load_scipy():
+    assert _modules_loaded_by("import cshlab", "scipy") == []
+
+
+def test_solver_suite_does_not_load_scipy_optimize():
+    # the bracket route runs on certified enumeration, not on scipy.optimize
+    code = "from cshlab import checks\nassert checks.check_solver(0) == []"
+    assert _modules_loaded_by(code, "scipy.optimize") == []
 
 
 def test_morse_data_examples(k2):
@@ -152,7 +163,8 @@ def test_newton_finds_both_constant_roots(k2):
 
 def test_newton_accepts_single_point_callbacks(k2, monkeypatch):
     # callbacks that take one point at a time are called once per row the
-    # batched Newton driver evaluates, and never with a stack
+    # batched Newton driver evaluates (the Jacobian once more, to classify
+    # the root), and never with a stack
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     ndims = {"residual": [], "jacobian": []}
 
@@ -179,64 +191,28 @@ def test_newton_accepts_single_point_callbacks(k2, monkeypatch):
         return real_batch(problem, seeds, opts)
 
     monkeypatch.setattr(solve_mod, "_newton_batch", counting_batch)
-    sol = newton(res, jac, np.array([-2.1, -2.2]), mu=k2.mu,
-                 hessian=lambda u: jacobian(k2, m, u))
+    sol = newton(res, jac, np.array([-2.1, -2.2]), mu=k2.mu)
     assert np.allclose(sol.point, constant_solutions(m)[0], atol=1e-10)
     assert sol.morse_index == 0
-    for name in ("residual", "jacobian"):
+    for name, extra in (("residual", 0), ("jacobian", 1)):
         assert ndims[name] and set(ndims[name]) == {1}, name
-        assert len(ndims[name]) == rows[name], name
-
-
-def test_box_extremize_default_fd_hessian():
-    # no hessian callback: certificate comes from finite differences
-    target = np.array([0.3, -0.2, 0.1])
-    energy = lambda x: float(np.sum((x - target) ** 2))
-    grad = lambda x: 2.0 * (x - target)
-    out = box_extremize(energy, grad, -np.ones(3), np.ones(3), mode="min")
-    assert out.interior and out.certificate == "strict-min"
-    assert np.allclose(out.point, target, atol=1e-10)
-
-
-def test_box_extremize_polishes_through_newton(monkeypatch):
-    target = np.array([0.3, -0.2, 0.1])
-    energy = lambda x: float(np.sum(np.cosh(3.0 * (x - target))))
-    grad = lambda x: 3.0 * np.sinh(3.0 * (x - target))
-    hess = lambda x: np.diag(9.0 * np.cosh(3.0 * (x - target)))
-    # the caller's check_callbacks reaches the polish: a wrong Hessian is caught
-    with pytest.raises(ValueError, match="finite differences"):
-        box_extremize(energy, grad, -np.ones(3), np.ones(3), opts=SolveOptions(check_callbacks=True),
-                      hessian=lambda x: -hess(x))
-    calls = []
-    real = solve_mod.newton
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solve_mod, "newton", spy)
-    out = box_extremize(energy, grad, -np.ones(3), np.ones(3), hessian=hess)
-    assert len(calls) == 1
-    again = real(*calls[0])
-    assert again.iterations > 0
-    assert (out.solution.iterations, out.solution.residual_norm) == (again.iterations, again.residual_norm)
-    assert out.certificate == "strict-min" and out.solution.morse_index == 0
+        assert len(ndims[name]) == rows[name] + extra, name
 
 
 def test_gauged_energy_max_route_yields_solution(k2):
-    # strongly negative coupling: the gauged energy has an interior strict
-    # maximizer over the shifted box, and shifting back solves the model
+    # strongly negative coupling: the box u in [ln 1/2, 4]^2 holds one root,
+    # a strict maximizer (index n) of the gauged energy over the shifted box
     import cshlab
 
     f = np.array([0.7, -0.3])
     m = ScalarModel(lam=-30.0, f=f)
+    (root,) = _bracket_roots(k2, m, np.log(0.5), 4.0)
+    assert root.morse_index == k2.ell and root.nondegenerate
+    assert sup_norm(residual(k2, m, root.point)) <= 1e-10
     gauge = cshlab.gauge_transform(k2, m)
-    energy = lambda v: cshlab.gauged_energy(k2, m, gauge, v)
-    grad = lambda v: residual(k2, m, v + gauge.phi) * k2.mu
-    out = box_extremize(energy, grad, -gauge.phi + np.log(0.5), -gauge.phi + 4.0, mode="max")
-    assert out.interior and out.certificate == "strict-max"
-    u = out.point + gauge.phi
-    assert sup_norm(residual(k2, m, u)) <= 1e-10
+    energy = lambda u: cshlab.gauged_energy(k2, m, gauge, u - gauge.phi)
+    others = np.random.default_rng(0).uniform(np.log(0.5), 4.0, (200, k2.ell))
+    assert all(energy(root.point) > energy(u) for u in others)
 
 
 def test_enumerate_per_axis_box(k2):
@@ -1017,34 +993,22 @@ def test_root_order_ignores_rounding_level_ties():
     assert orders == {(-1.0, 2.0)}
 
 
+def _bracket_roots(g, m, lower, upper):
+    """Roots of the certified enumeration of the box [lower, upper]."""
+    rep = enumerate_report(g, m, box=(lower, upper), check_box=False)
+    assert rep.certified
+    return rep.roots
+
+
 def test_box_extremize_interior_min(k2):
+    # the box [ln 1/2, 2]^2 holds one root, the strict minimum u = 0
     m = ScalarModel(lam=5.0, f=np.zeros(2))
-    out = extremize_scalar_in_box(k2, m, np.log(0.5), 2.0, mode="min")
-    assert out.interior
-    assert out.certificate == "strict-min"
-    assert sup_norm(out.point) <= 1e-10
-    assert out.solution.morse_index == 0
-
-
-def test_box_extremize_boundary_report(k2):
-    m = ScalarModel(lam=5.0, f=np.zeros(2))
-    out = extremize_scalar_in_box(k2, m, -1.0, 1.0, mode="max")
-    assert not out.interior
-    assert out.touching
-    assert out.solution is None
-
-
-def test_box_extremize_degenerate_box(k2):
-    m = ScalarModel(lam=5.0, f=np.zeros(2))
-    with pytest.raises(ValueError, match="degenerate box"):
-        extremize_scalar_in_box(k2, m, 1.0, 1.0, mode="min")
-
-
-def test_box_extremize_rejects_bad_mode(k2):
-    m = ScalarModel(lam=5.0, f=np.zeros(2))
-    with pytest.raises(ValueError, match="mode"):
-        box_extremize(lambda x: 0.0, lambda x: np.zeros(2),
-                      np.zeros(2), np.ones(2), mode="saddle")
+    roots = _bracket_roots(k2, m, np.log(0.5), 2.0)
+    assert len(roots) == 1
+    assert sup_norm(roots[0].point) <= 1e-10
+    assert roots[0].morse_index == 0
+    with pytest.raises(ValueError, match="must exceed lower bounds"):
+        enumerate_report(k2, m, box=(1.0, 1.0), check_box=False)
 
 
 def test_subsolution_bounds_zero_source(k2):
@@ -1053,15 +1017,18 @@ def test_subsolution_bounds_zero_source(k2):
     assert sb.kappa1 == pytest.approx(0.5)
     assert np.allclose(sb.lower, np.log(0.5))
     assert sb.A >= 1.0
-    out = extremize_scalar_in_box(k2, ScalarModel(lam=1.0, f=np.zeros(2)),
-                                  sb.lower, sb.upper, mode="min")
-    assert out.interior and sup_norm(out.point) <= 1e-10
+    roots = _bracket_roots(k2, ScalarModel(lam=1.0, f=np.zeros(2)), sb.lower, sb.upper)
+    assert len(roots) == 1
+    assert sup_norm(roots[0].point) <= 1e-10 and roots[0].morse_index == 0
 
 
 def test_subsolution_bounds_unavailable(k2):
     assert subsolution_bounds(k2, np.ones(2), 1.0) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lam > 0"):
         subsolution_bounds(k2, np.zeros(2), -1.0)
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            subsolution_bounds(k2, np.zeros(2), lam)
 
 
 def test_subsolution_route_matches_enumeration(k2):
@@ -1069,10 +1036,11 @@ def test_subsolution_route_matches_enumeration(k2):
     lam = 2.0
     sb = subsolution_bounds(k2, f, lam)
     m = ScalarModel(lam=lam, f=f)
-    out = extremize_scalar_in_box(k2, m, sb.lower, sb.upper, mode="min")
-    assert out.interior
-    roots = enumerate_report(k2, m, box=(-6.0, 3.0), grid_n=21).roots
-    assert any(np.abs(out.point - r.point).max() <= 1e-8 for r in roots)
+    (root,) = _bracket_roots(k2, m, sb.lower, sb.upper)
+    assert root.morse_index == 0
+    rep = enumerate_report(k2, m, box=(-6.0, 3.0))
+    assert rep.certified
+    assert any(np.abs(root.point - r.point).max() <= 1e-8 for r in rep.roots)
 
 
 def test_solver_invariant_suite():

@@ -63,9 +63,7 @@ from .solve import (
     SolveOptions,
     SubsolutionBounds,
     enumerate_report,
-    enumerate_solutions,
     morse_data,
-    newton,
     solve_scalar,
     solve_system,
     subsolution_bounds,

@@ -33,7 +33,7 @@ from .scalar import (
     jacobian,
     residual,
 )
-from .solve import SolveOptions, enumerate_report, enumerate_solutions, subsolution_bounds
+from .solve import SolveOptions, enumerate_report, subsolution_bounds
 from .system import SystemModel, functional_G, hessian_system, jacobian_system, residual_pair
 
 __all__ = [
@@ -182,7 +182,7 @@ def check_solution_identity(seed: int = 0, cases: int = 6) -> list[str]:
         p = int(rng.integers(1, 3))
         c = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
         m = ScalarModel(lam=lam, f=np.full(g.ell, c), p=p)
-        roots = enumerate_solutions(g, m, box=(-9.0, 3.0), opts=opts, check_box=False)
+        roots = enumerate_report(g, m, (-9.0, 3.0), opts=opts, check_box=False).roots
         for r in roots:
             e = np.exp(r.point)
             lhs = integrate(g, e * (e - 1.0) ** (2 * p - 1))
@@ -269,8 +269,8 @@ def check_solver(seed: int = 0) -> list[str]:
     opts = SolveOptions()
     g = complete_graph(2)
     m = ScalarModel(lam=-10.0, f=np.ones(g.ell))
-    inner = enumerate_solutions(g, m, box=(-9.0, 3.0), opts=opts, check_box=False)
-    ball = [r for r in enumerate_solutions(g, m, opts=opts)
+    inner = enumerate_report(g, m, (-9.0, 3.0), opts=opts, check_box=False).roots
+    ball = [r for r in enumerate_report(g, m, opts=opts).roots
             if np.all((r.point > -9.0) & (r.point < 3.0))]
     for r in inner:
         if r.residual_norm > opts.tol_residual:

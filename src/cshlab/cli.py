@@ -128,10 +128,10 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
         )
     kind, payload = next(iter(spec.items()))
     if kind == "constant":
-        return np.full(g.ell, float(payload))
+        return np.full(g.ell, _finite(payload, f"source {name} constant"))
     if kind == "values":
         try:
-            return np.array([float(payload[v]) for v in g.vertices])
+            return np.array([_finite(payload[v], f"source {name} value at {v}") for v in g.vertices])
         except KeyError as exc:
             raise ConfigError(f"source {name} misses a value for vertex {exc}") from None
     if kind == "dirac":
@@ -139,7 +139,9 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
             raise ConfigError(f"source {name}: dirac takes an object "
                               f'{{"points": [...], "coefficient": c}}, got {payload!r}')
         points = payload.get("points", [])
-        coeff = float(payload.get("coefficient", 4.0 * np.pi))
+        if not isinstance(points, list):  # a string would be read as its characters
+            raise ConfigError(f"source {name}: dirac points must be a list, got {points!r}")
+        coeff = _finite(payload.get("coefficient", 4.0 * np.pi), f"source {name} coefficient")
         try:
             return dirac_source(g, points, coeff)
         except GraphError as exc:
@@ -154,20 +156,20 @@ def _build_model(g: WeightedGraph, cfg: dict):
     try:
         if kind == "scalar":
             return ScalarModel(
-                lam=float(params.get("lambda", 1.0)),
+                lam=_finite(params.get("lambda", 1.0), "lambda"),
                 f=_source_values(g, source.get("f"), "f"),
-                p=params.get("p", 1),
-                sigma=float(params.get("sigma", 1.0)),
+                p=_count(params.get("p", 1), "p"),
+                sigma=_finite(params.get("sigma", 1.0), "sigma"),
             )
         if kind == "system":
             return SystemModel(
-                p=float(params.get("p", 0.5)),
-                q=float(params.get("q", 0.5)),
+                p=_number(params.get("p", 0.5), "p"),
+                q=_number(params.get("q", 0.5), "q"),
                 f=_source_values(g, source.get("f"), "f"),
                 g=_source_values(g, source.get("g"), "g"),
-                sigma=float(params.get("sigma", 1.0)),
+                sigma=_finite(params.get("sigma", 1.0), "sigma"),
             )
-    except (ValueError, TypeError) as exc:  # TypeError: a null or list parameter
+    except (ValueError, TypeError) as exc:  # TypeError: a "values" source that is no object
         raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -207,18 +209,23 @@ def _root_record(g: WeightedGraph, model, sol: ClassifiedSolution) -> dict:
 
 class _Emitter:
     def __init__(self, out_path: str | None):
-        self._fh = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-        self._owned = out_path is not None
+        self._path = out_path
+        self._fh = None if out_path else sys.stdout
+
+    def _out(self):
+        if self._fh is None:  # opened on the first record: a config error leaves it as it was
+            self._fh = open(self._path, "w", encoding="utf-8")
+        return self._fh
 
     def emit(self, record: dict) -> None:
         # strict JSON: a non-finite number raises ValueError before anything is written
-        self._fh.write(json.dumps(record, allow_nan=False) + "\n")
+        self._out().write(json.dumps(record, allow_nan=False) + "\n")
 
     def write_text(self, text: str) -> None:
-        self._fh.write(text)
+        self._out().write(text)
 
     def close(self) -> None:
-        if self._owned:
+        if self._path is not None and self._fh is not None:
             self._fh.close()
 
 

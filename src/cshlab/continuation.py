@@ -25,6 +25,7 @@ import numpy as np
 from .errors import SolverError
 from .graphs import WeightedGraph, average, sup_norm
 from .scalar import ScalarModel
+from . import solve  # solve.enumerate_report per call: perfbench's tracer wraps it there
 from .solve import (
     ClassifiedSolution,
     SolveOptions,
@@ -33,7 +34,6 @@ from .solve import (
     _make_problem,
     _solve_one,
     _sort_roots,
-    enumerate_solutions,
 )
 from .system import SystemModel
 
@@ -107,7 +107,7 @@ def sweep_lambda(
 
     def record(lam: float) -> BranchRecord:
         m = ScalarModel(lam=float(lam), f=f, p=p, sigma=sigma)
-        roots = enumerate_solutions(g, m, box=box, opts=opts, check_box=False)
+        roots = solve.enumerate_report(g, m, box, opts=opts, check_box=False).roots
         return BranchRecord(float(lam), roots, _count_types(roots, g.ell), [])
 
     records = [record(lam) for lam in values]
@@ -145,7 +145,7 @@ class ThresholdEstimate:
 
 def _certificate(g, f, lam: float, which: str, box, opts) -> tuple[bool, str]:
     m = ScalarModel(lam=float(lam), f=f)
-    roots = enumerate_solutions(g, m, box=box, opts=opts, check_box=False)
+    roots = solve.enumerate_report(g, m, box, opts=opts, check_box=False).roots
     want_index = 0 if which in ("strict_min_pos", "strict_min_neg") else g.ell
     strict = any(r.nondegenerate and r.morse_index == want_index for r in roots)
     if strict:
@@ -259,7 +259,7 @@ def sigma_homotopy(
             [t for t in (_polish(g, first, s, opts) for s in seeds.reshape(-1, n))
              if t is not None], opts.dedup_tol)
     else:
-        tracked = enumerate_solutions(g, first, box=box, opts=opts)
+        tracked = solve.enumerate_report(g, first, box, opts=opts).roots
     records.append(BranchRecord(sigma_path[0], list(tracked), _count_types(tracked, n), []))
 
     for prev_sigma, sigma in zip(sigma_path, sigma_path[1:]):

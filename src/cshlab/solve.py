@@ -47,8 +47,8 @@ with a strictly lower residual).  Roots are classified through the eigenvalues o
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
-``newton``, ``solve_scalar`` and ``solve_system`` share one single-seed path:
-a non-finite seed or one outside the exp guard is rejected, and a failed run
+``solve_scalar`` and ``solve_system`` share one single-seed path: a
+non-finite seed or one outside the exp guard is rejected, and a failed run
 raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
 stalled, the iterate left the admissible range, or max_iter was exceeded).
 
@@ -89,10 +89,8 @@ __all__ = [
     "EnumerationReport",
     "SubsolutionBounds",
     "morse_data",
-    "newton",
     "solve_scalar",
     "solve_system",
-    "enumerate_solutions",
     "enumerate_report",
     "subsolution_bounds",
     "default_grid_n",
@@ -126,7 +124,6 @@ class SolveOptions:
     dedup_tol: float = 1e-6
     seed_cap: int = 10_000_000
     rng_seed: int = 0
-    check_callbacks: bool = False
 
     def __post_init__(self):
         for name in ("tol_residual", "dedup_tol"):
@@ -140,8 +137,6 @@ class SolveOptions:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
-        if not isinstance(self.check_callbacks, bool):
-            raise ValueError(f"check_callbacks must be a bool, got {self.check_callbacks!r}")
         if self.dedup_tol <= 10.0 * self.tol_residual:
             warnings.warn(
                 "dedup_tol is within a decade of tol_residual; "
@@ -166,11 +161,8 @@ class ClassifiedSolution:
     system.  ``sign_det`` is the orientation sign of the energy Hessian at the
     root: (-1)**morse_index when nondegenerate, else 0.  For a nondegenerate
     index-m point the critical groups have rank one in dimension m and zero
-    elsewhere; strict extrema are the m = 0 and m = n cases.
-    ``pseudo_inverse_used`` is set when some Newton step on the way took a
-    least-squares step, which happens only where the LU factorization of the
-    Jacobian met an exactly zero pivot; a near-singular Jacobian whose pivot
-    rounds to a tiny nonzero value takes the ordinary solve and is not flagged.
+    elsewhere; strict extrema are the m = 0 and m = n cases.  Every field
+    is written to the command line's ``root`` record.
     """
 
     point: np.ndarray
@@ -178,8 +170,6 @@ class ClassifiedSolution:
     sign_det: int
     morse_index: int
     nondegenerate: bool
-    pseudo_inverse_used: bool = False
-    iterations: int = 0
 
     @property
     def n(self) -> int:
@@ -313,7 +303,7 @@ def _equal_row_runs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.append(np.flatnonzero(new), len(A))
 
 
-def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.ndarray):
+def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     """Stacked solve of J step = -F, with least squares for singular rows only.
 
     Rows with a non-finite Jacobian or step get a zero step and come back
@@ -321,9 +311,9 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
     If a singular row makes it raise, one batched ``slogdet`` marks the rows
     whose LU has a zero pivot (sign 0: the same ``getrf`` factorization that
     makes ``solve`` reject a row) and the other rows are solved in one stacked
-    call.  The singular rows take a least-squares step with ``pseudo`` set:
-    rows whose Jacobians are equal byte for byte (so -0.0 and 0.0 differ)
-    share one ``lstsq`` call, their right-hand sides stacked as its columns.
+    call.  The singular rows take a least-squares step: rows whose
+    Jacobians are equal byte for byte (so -0.0 and 0.0 differ) share one
+    ``lstsq`` call, their right-hand sides stacked as its columns.
     In the far field every singular Jacobian is the same -L, so one call
     serves thousands of rows.  With OpenBLAS 0.3.31 each column equals a
     one-column call bit for bit for Jacobians up to 7x7; from 8x8 on, random
@@ -352,7 +342,6 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray, pseudo: np.nd
             for a, b in zip(starts[:-1], starts[1:]):
                 rows = sing[order[a:b]]
                 steps[idx[rows]] = np.linalg.lstsq(J[rows[0]], rhs[rows, :, 0].T, rcond=None)[0].T
-            pseudo[idx[sing]] = True
     bad = ~np.isfinite(sup_norm(steps))
     steps[bad] = 0.0
     return steps, bad
@@ -380,7 +369,7 @@ _CHUNK_ENTRIES = 2 ** 18
 def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
     """Damped Newton on every seed row, in stacks of a bounded size.
 
-    Returns ``(X, res_norm, status, pseudo, iters)`` arrays in seed order;
+    Returns ``(X, res_norm, status)`` arrays in seed order;
     rows with status ``_CONVERGED`` hold polished roots with residual below
     ``tol_residual``.  The seeds run in ``ceil(N / rows)`` near-equal chunks
     of at most ``rows = _CHUNK_ENTRIES // n**2`` rows each, one after the
@@ -405,8 +394,6 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
     nF = _norms(F)
     status = np.full(N, _RUNNING, dtype=np.int8)
     status[~np.isfinite(nF)] = _DIVERGED
-    pseudo = np.zeros(N, dtype=bool)
-    iters = np.zeros(N, dtype=np.int32)
     # plateau detection: rows that fail to halve their residual across a
     # checkpoint window are circling a positive floor (no root nearby) and
     # are retired early; converging rows reduce at least geometrically
@@ -422,10 +409,7 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
         act = np.nonzero(status == _RUNNING)[0]
         if act.size == 0:
             break
-        iters[act] += 1
-        psub = pseudo[act].copy()
-        steps, bad = _newton_steps(problem, X[act], F[act], psub)
-        pseudo[act] = psub
+        steps, bad = _newton_steps(problem, X[act], F[act])
         status[act[bad]] = _DIVERGED
         live = act[~bad]
         if live.size == 0:
@@ -464,9 +448,7 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
     for _ in range(_POLISH_STEPS):
         if conv.size == 0:
             break
-        psub = pseudo[conv].copy()
-        steps, bad = _newton_steps(problem, X[conv], F[conv], psub)
-        pseudo[conv] = psub
+        steps, bad = _newton_steps(problem, X[conv], F[conv])
         trial = X[conv] + steps
         Ft = _residual_rows(problem, trial)
         nFt = _norms(Ft)
@@ -476,11 +458,10 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
         F[gi] = Ft[better]
         nF[gi] = nFt[better]
         conv = gi
-    return X, nF, status, pseudo, iters
+    return X, nF, status
 
 
-def _classify_root(problem: _Problem, x: np.ndarray, res_norm: float,
-                   pseudo: bool = False, iterations: int = 0) -> ClassifiedSolution:
+def _classify_root(problem: _Problem, x: np.ndarray, res_norm: float) -> ClassifiedSolution:
     md = morse_data(problem.hessian(x), problem.mu)
     return ClassifiedSolution(
         point=np.asarray(x, dtype=float),
@@ -488,8 +469,6 @@ def _classify_root(problem: _Problem, x: np.ndarray, res_norm: float,
         sign_det=md.sign_det,
         morse_index=md.morse_index,
         nondegenerate=md.nondegenerate,
-        pseudo_inverse_used=bool(pseudo),
-        iterations=int(iterations),
     )
 
 
@@ -504,73 +483,23 @@ def _solve_one(problem: _Problem, seed: np.ndarray, opts: SolveOptions) -> Class
     """Damped Newton from one seed, the path behind every single-seed entry point.
 
     A seed with a NaN or infinite entry raises ``ValueError``; a finite seed
-    outside the exp guard raises ``OverflowGuardError``.  With
-    ``opts.check_callbacks`` the Jacobian is first verified against central
-    differences at the seed.  A run that does not converge raises
-    :class:`SolverError` naming why (stalled, diverged or max_iter exceeded).
+    outside the exp guard raises ``OverflowGuardError``.  A run that does not
+    converge raises :class:`SolverError` naming why (stalled, diverged or
+    max_iter exceeded).
     """
     if not np.all(np.isfinite(seed)):
         raise ValueError(f"seed must be finite, got {seed}")
     _check_range(seed)
-    if opts.check_callbacks:
-        _verify_jacobian(lambda x: problem.residual(x[None])[0],
-                         lambda x: problem.jacobian(x[None])[0], seed)
-    X, nF, status, pseudo, iters = _newton_batch(problem, seed[None, :], opts)
+    X, nF, status = _newton_batch(problem, seed[None, :], opts)
     if status[0] != _CONVERGED:
         reason = _FAILURE_REASONS[int(status[0])].format(max_iter=opts.max_iter)
         raise SolverError(f"Newton failed: {reason}")
-    return _classify_root(problem, X[0], nF[0], pseudo[0], iters[0])
+    return _classify_root(problem, X[0], nF[0])
 
 
 def _broadcast(x, n: int) -> np.ndarray:
     """``x`` as a float vector of length ``n``; a scalar fills it."""
     return np.full(n, float(x)) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-
-
-def newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    seed: np.ndarray,
-    opts: SolveOptions | None = None,
-    *,
-    mu: np.ndarray | None = None,
-) -> ClassifiedSolution:
-    """Damped Newton from one seed; raises :class:`SolverError` on failure.
-
-    ``mu`` supplies the vertex measure used to classify the root (ones when
-    omitted); the root is classified through the residual Jacobian (the
-    energy Hessian for the scalar model).  With ``opts.check_callbacks`` the
-    Jacobian is verified against central differences at the seed first.
-    """
-    seed = np.asarray(seed, dtype=float)
-    # the callbacks take one point; a one-seed batch evaluates one row per call
-    problem = _Problem(
-        n=len(seed),
-        mu=np.ones(len(seed)) if mu is None else np.asarray(mu, dtype=float),
-        residual=lambda X: np.asarray(residual(X[0]), dtype=float)[None],
-        jacobian=lambda X: np.asarray(jacobian(X[0]), dtype=float)[None],
-        hessian=lambda x: np.asarray(jacobian(x), dtype=float),
-        anchors=lambda: [],
-    )
-    return _solve_one(problem, seed, opts or SolveOptions())
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``fn`` at ``x``, one column per coordinate."""
-    n = len(x)
-    cols = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=1)
-
-
-def _verify_jacobian(res, jac, x: np.ndarray, tol: float = 1e-4) -> None:
-    J = np.asarray(jac(x), dtype=float)
-    fd = _fd_jacobian(res, x)
-    if not np.allclose(J, fd, rtol=tol, atol=tol * (1.0 + np.abs(J).max())):
-        raise ValueError("jacobian callback disagrees with finite differences of residual")
 
 
 def solve_scalar(g: WeightedGraph, m: ScalarModel, seed, opts: SolveOptions | None = None) -> ClassifiedSolution:
@@ -762,9 +691,8 @@ def enumerate_report(
     level = grid_n if grid_n is not None else default_grid_n(problem.n, problem.pair)
     if level < 2:
         raise ValueError("grid_n must be at least 2")
-    # known roots as parallel arrays: points, residual norms, pseudo flags, iterations
-    known = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
-             np.empty(0, dtype=np.int32)]
+    # known roots as parallel arrays: points and residual norms
+    known = [np.empty((0, problem.n)), np.empty(0)]
     levels: list[int] = []
     stable = False
     seeds_used = 0
@@ -787,11 +715,11 @@ def enumerate_report(
             break
         seeds_used += len(seeds)
         levels.append(level)
-        X, nF, status, pseudo, iters = _newton_batch(problem, seeds, opts)
+        X, nF, status = _newton_batch(problem, seeds, opts)
         sel = (status == _CONVERGED) & _in_box(X, lo, hi, opts.dedup_tol)
         # known rows come first, so a tie keeps the known root: a re-found
         # root replaces it only with a strictly lower residual
-        merged = [np.concatenate([k, a[sel]]) for k, a in zip(known, (X, nF, pseudo, iters))]
+        merged = [np.concatenate([k, a[sel]]) for k, a in zip(known, (X, nF))]
         kept = _dedup_points(merged[0], merged[1], opts.dedup_tol)
         grew = len(kept) > len(known[0])
         known = [a[kept] for a in merged]
@@ -815,7 +743,7 @@ def _in_box(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> 
 
 
 def _classified_roots(problem: _Problem, rows, tol: float) -> list[ClassifiedSolution]:
-    """Classify the (points, norms, pseudo, iterations) rows, sorted by :func:`_sort_roots`."""
+    """Classify the (points, norms) rows, sorted by :func:`_sort_roots`."""
     roots = [_classify_root(problem, *row) for row in zip(*rows)]
     _sort_roots(roots, tol)
     return roots
@@ -943,17 +871,16 @@ def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: n
     seeds = np.vstack([inc_lo + 0.5 * (inc_hi - inc_lo),
                        _cluster_seeds(problem, unr_lo, unr_hi, opts.dedup_tol),
                        np.reshape(anchors, (-1, problem.n))])
-    rows = [np.empty((0, problem.n)), np.empty(0), np.empty(0, dtype=bool),
-            np.empty(0, dtype=np.int32)]
+    rows = [np.empty((0, problem.n)), np.empty(0)]
     unresolved = len(unr_lo)
     if len(seeds):
-        X, nF, status, pseudo, iters = _newton_batch(problem, seeds, opts)
+        X, nF, status = _newton_batch(problem, seeds, opts)
         converged = status == _CONVERGED
         k = len(inc_lo)
         unresolved += int(np.count_nonzero(~(converged[:k] & _in_box(X[:k], inc_lo, inc_hi))))
         ok = converged & _in_box(X, lo, hi, opts.dedup_tol)
         kept = _dedup_points(X[ok], nF[ok], opts.dedup_tol)
-        rows = [a[ok][kept] for a in (X, nF, pseudo, iters)]
+        rows = [a[ok][kept] for a in (X, nF)]
     roots = _classified_roots(problem, rows, opts.dedup_tol)
     certified = unresolved == 0 and all(r.nondegenerate for r in roots)
     return EnumerationReport(
@@ -980,21 +907,6 @@ def _apriori_radius_or_none(g: WeightedGraph, model) -> float | None:
         return apriori_radius(g, model).radius
     except ValueError:
         return None
-
-
-def enumerate_solutions(
-    g: WeightedGraph,
-    model,
-    box=None,
-    opts: SolveOptions | None = None,
-    check_box: bool = True,
-) -> list[ClassifiedSolution]:
-    """Deduplicated, classified roots in the box, sorted lexicographically on
-    coordinates rounded to ``dedup_tol``.
-
-    The roots of :func:`enumerate_report`'s default run; box and check_box follow it.
-    """
-    return enumerate_report(g, model, box, opts=opts, check_box=check_box).roots
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from cshlab import (
     constant_solutions,
     cycle_graph,
     degree_by_enumeration,
-    enumerate_solutions,
+    enumerate_report,
     estimate_threshold,
     expected_degree_scalar,
     homotopy_audit,
@@ -73,7 +73,7 @@ def test_c02_system_degree_zero():
     import dataclasses
 
     s0 = dataclasses.replace(s, sigma=0.0)
-    roots0 = enumerate_solutions(g, s0, box=(-bound.bound, bound.bound))
+    roots0 = enumerate_report(g, s0, box=(-bound.bound, bound.bound)).roots
     ok = rep.computed_degree == 0 and len(roots0) == 0
     _report(2, "system degree zero", ok,
             f"degree={rep.computed_degree}, sigma0_roots={len(roots0)}")
@@ -97,7 +97,7 @@ def test_c04_multiplicity_three_even():
     lam = -10.0
     while lam >= -200.0:
         m = ScalarModel(lam=lam, f=f)
-        roots = enumerate_solutions(g, m)
+        roots = enumerate_report(g, m).roots
         seps = all(
             np.abs(a.point - b.point).max() > 1e-6
             for i, a in enumerate(roots) for b in roots[i + 1:]
@@ -115,7 +115,7 @@ def test_c04_multiplicity_three_even():
 def test_c05_multiplicity_two_even():
     g = complete_graph(2)
     m = ScalarModel(lam=-10.0, f=np.ones(2))
-    roots = enumerate_solutions(g, m)
+    roots = enumerate_report(g, m).roots
     sign_sum = sum(r.sign_det for r in roots)
     ok = len(roots) >= 2 and sign_sum == -1
     _report(5, "two solutions, sign sum -1", ok, f"roots={len(roots)}, sum={sign_sum}")
@@ -197,7 +197,7 @@ def test_c11_solution_identity():
     worst = 0.0
     count = 0
     for g, m in cases:
-        for r in enumerate_solutions(g, m, box=(-9.0, 3.0), check_box=False):
+        for r in enumerate_report(g, m, box=(-9.0, 3.0), check_box=False).roots:
             e = np.exp(r.point)
             lhs = integrate(g, e * (e - 1.0) ** (2 * m.p - 1))
             rhs = -integrate(g, m.f) / m.lam
@@ -265,7 +265,7 @@ def test_c14_apriori_containment():
         f = np.full(g.ell, fbar)
         m = ScalarModel(lam=lam, f=f)
         radius = apriori_radius(g, m).radius
-        for r in enumerate_solutions(g, m, box=(-radius, radius)):
+        for r in enumerate_report(g, m, box=(-radius, radius)).roots:
             total += 1
             if sup_norm(r.point) >= radius:
                 violations.append(("scalar", g.ell, lam, fbar))
@@ -277,7 +277,7 @@ def test_c14_apriori_containment():
 
     for sigma in (0.0, 0.5, 1.0):
         s_sig = dataclasses.replace(s, sigma=sigma)
-        for r in enumerate_solutions(g, s_sig, box=(-9.0, 3.0)):
+        for r in enumerate_report(g, s_sig, box=(-9.0, 3.0)).roots:
             total += 1
             if sup_norm(r.point[:2]) + sup_norm(r.point[2:]) >= bound.bound:
                 violations.append(("system", sigma))

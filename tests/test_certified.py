@@ -329,7 +329,7 @@ def test_inclusion_boxes_hold_their_polished_root_and_sign():
         assert len(unr_lo) == 0 and len(lo) > 0 and boxes > len(lo)
         problem = _scalar_problem(g, m)
         mid = lo + 0.5 * (hi - lo)
-        X, nF, status, pseudo, iters = _newton_batch(problem, mid, SolveOptions())
+        X, nF, status = _newton_batch(problem, mid, SolveOptions())
         assert np.all(status == _CONVERGED)
         assert np.all((lo <= X) & (X <= hi))
         J = problem.jacobian(mid)
@@ -364,9 +364,9 @@ def test_included_box_without_its_root_is_unresolved(monkeypatch):
     real = solve_mod._newton_batch
 
     def stall_first(problem, seeds, opts):
-        X, nF, status, pseudo, iters = real(problem, seeds, opts)
+        X, nF, status = real(problem, seeds, opts)
         status[0] = solve_mod._STALLED
-        return X, nF, status, pseudo, iters
+        return X, nF, status
 
     monkeypatch.setattr(solve_mod, "_newton_batch", stall_first)
     rep = enumerate_report(g, m)

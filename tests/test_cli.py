@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import cshlab.solve as solve_mod
-from cshlab import ScalarModel, complete_graph, residual, save_graph, sup_norm
+from cshlab import ClassifiedSolution, ScalarModel, complete_graph, residual, save_graph, sup_norm
 from cshlab.cli import _Emitter, main
 
 EVIDENCE = {"grid_levels", "grid_stable", "seeds_used", "certified", "boxes", "unresolved", "box"}
@@ -219,7 +220,9 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     # be misread ("no" as true), and the grid constants, which are no options
     for tolerances, message in (
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
-        ({"check_callbacks": "no"}, "check_callbacks must be a bool, got 'no'"),
+        # the Jacobian check runs in `cshlab check`; no tolerance switches it on
+        ({"check_callbacks": True},
+         "SolveOptions.__init__() got an unexpected keyword argument 'check_callbacks'"),
         # numpy's generators take no negative seed
         ({"rng_seed": -1}, "rng_seed must be at least 0, got -1"),
         ({"max_refinements": 0},
@@ -244,7 +247,8 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
     assert captured.out == "" and "rng_seed must be at least 0, got -1" in captured.err
     # a fractional, null or string power or a fractional sweep step count is
     # rejected, not rounded down or converted
-    for p, message in ((1.5, "got 1.5"), (None, "NoneType"), ("2", "got '2'")):
+    for p, message in ((1.5, "got 1.5"), (None, "got None"), ("2", "got '2'"),
+                       (True, "got True")):
         cfg5 = _write_config(tmp_path, {
             "model": "scalar",
             "parameters": {"lambda": -10.0, "p": p},
@@ -286,7 +290,7 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("degree", system, {"degree": {"radius": float("inf")}}, "radius must be finite"),
         ("enumerate", system, {"enumerate": {"box": [[-3.0, -3.0, -3.0, float("-inf")], 3.0]}},
          "box must be finite"),
-        ("enumerate", scalar, {"parameters": {"lambda": float("nan")}}, "lam must be finite"),
+        ("enumerate", scalar, {"parameters": {"lambda": float("nan")}}, "lambda must be finite"),
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
         ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
          "sigma_grid must be a number"),
@@ -296,6 +300,25 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
         ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
         ("solve", scalar, {"source": {"f": {"dirac": 3}}}, "dirac takes an object"),
+        # booleans and strings are no numbers, and a string is no list of points
+        ("solve", scalar, {"parameters": {"lambda": True}}, "lambda must be a number, got True"),
+        ("solve", scalar, {"parameters": {"lambda": "-10"}}, "lambda must be a number, got '-10'"),
+        ("solve", scalar, {"parameters": {"lambda": -3.0, "sigma": True}},
+         "sigma must be a number, got True"),
+        ("solve", system, {"parameters": {"p": True, "q": 0.5}}, "p must be a number, got True"),
+        ("solve", system, {"parameters": {"p": 0.5, "q": "0.5"}}, "q must be a number, got '0.5'"),
+        ("solve", system, {"parameters": {"p": 0.5, "q": 0.5, "sigma": True}},
+         "sigma must be a number, got True"),
+        ("solve", scalar, {"source": {"f": {"constant": True}}},
+         "source f constant must be a number, got True"),
+        ("solve", scalar, {"source": {"f": {"values": {"x1": True, "x2": "1"}}}},
+         "source f value at x1 must be a number, got True"),
+        ("solve", scalar, {"source": {"f": {"values": {"x1": 1.0, "x2": "1"}}}},
+         "source f value at x2 must be a number, got '1'"),
+        ("solve", scalar, {"source": {"f": {"dirac": {"points": ["x1"], "coefficient": True}}}},
+         "source f coefficient must be a number, got True"),
+        ("solve", scalar, {"source": {"f": {"dirac": {"points": "x1"}}}},
+         "source f: dirac points must be a list, got 'x1'"),
     )
     for command, model, section, message in bad_values:
         cfg7 = _write_config(tmp_path, {**model, **section})
@@ -372,6 +395,41 @@ def test_system_command(tmp_path, k2_path, capsys, monkeypatch):
     audit = records[1]
     assert audit["degree_constant"] is True
     assert audit["sigma_zero_empty"] is True
+
+
+def test_config_error_leaves_out_file_untouched(tmp_path, k2_path, capsys):
+    # the --out file is opened on the first record, so an error before it
+    # keeps an earlier run's results
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_text('{"kind": "earlier run"}\n')
+    no_graph = _write_config(tmp_path, {"model": "scalar", "source": {"f": {"constant": 1.0}}})
+    assert main(["solve", "--config", no_graph, "--out", str(out_path)]) == 2
+    bad_sigma = _write_config(tmp_path, {
+        "model": "system", "parameters": {"p": 0.5, "q": 0.5},
+        "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
+        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [2.0]},
+    })
+    assert main(["system", "--graph", k2_path, "--config", bad_sigma, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == '{"kind": "earlier run"}\n'
+
+
+def test_root_record_carries_every_solution_field(tmp_path, k2_path, capsys):
+    # a field no output carries is dead weight: each one, and the critical
+    # group ranks, reach the root record (the point as point, or as u and v)
+    fields = {f.name for f in dataclasses.fields(ClassifiedSolution)} | {"critical_group_ranks"}
+    scalar = _write_config(tmp_path, {"model": "scalar", "parameters": {"lambda": -10.0},
+                                      "source": {"f": {"constant": 1.0}}})
+    code, records = _run(["enumerate", "--graph", k2_path, "--config", scalar], capsys)
+    system = _write_config(tmp_path, {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
+                                      "source": {"f": {"constant": -1.0}, "g": {"constant": -1.0}},
+                                      "solve": {"seed": 0.0}})
+    code2, (solved,) = _run(["solve", "--graph", k2_path, "--config", system], capsys)
+    roots = [r for r in records if r["kind"] == "root"] + [solved]
+    assert code == code2 == 0 and len(roots) > 1
+    for rec in roots:
+        names = set(rec) | ({"point"} if {"u", "v"} <= set(rec) else set())
+        assert fields <= names, fields - names
 
 
 def test_out_flag_writes_file(tmp_path, k2_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,7 +16,6 @@ from cshlab import (
     enumerate_report,
     jacobian,
     morse_data,
-    newton,
     residual,
     solve_scalar,
     solve_system,
@@ -52,17 +50,17 @@ def test_options_validation():
     # range(), "no" read as true)
     bad += [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"),
             ("seed_cap", 1e6), ("seed_cap", None), ("rng_seed", 1.5), ("rng_seed", False),
-            ("check_callbacks", "no"), ("check_callbacks", 1), ("tol_residual", "1e-12"),
-            ("dedup_tol", True)]
+            ("tol_residual", "1e-12"), ("dedup_tol", True)]
     # numpy's generators take no negative seed
     bad += [("rng_seed", -1)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: value})
-    SolveOptions(max_iter=1, seed_cap=1, rng_seed=np.int64(3), check_callbacks=True)
+    SolveOptions(max_iter=1, seed_cap=1, rng_seed=np.int64(3))
     SolveOptions(max_iter=np.int32(5), tol_residual=1e-10)
-    # the grid's window and refinement count are module constants, not options
-    for field in ("core_window", "max_refinements"):
+    # the grid's window and refinement count are module constants, not
+    # options, and the Jacobian check runs in `cshlab check`, not per solve
+    for field in ("core_window", "max_refinements", "check_callbacks"):
         with pytest.raises(TypeError, match=field):
             SolveOptions(**{field: 0})
     with warnings.catch_warnings(record=True) as caught:
@@ -142,13 +140,7 @@ def test_morse_data_rejects_asymmetric(k2):
 
 def test_newton_converges_at_exact_root(k2):
     m = ScalarModel(lam=3.0, f=np.zeros(2))
-    sol = newton(
-        lambda u: residual(k2, m, u),
-        lambda u: jacobian(k2, m, u),
-        np.zeros(2),
-        mu=k2.mu,
-    )
-    assert sol.iterations <= 2
+    sol = solve_scalar(k2, m, np.zeros(2))
     assert sup_norm(sol.point) <= 1e-14
 
 
@@ -159,44 +151,6 @@ def test_newton_finds_both_constant_roots(k2):
     s2 = solve_scalar(k2, m, 0.0)
     assert np.allclose(s1.point, lo, atol=1e-10)
     assert np.allclose(s2.point, hi, atol=1e-10)
-
-
-def test_newton_accepts_single_point_callbacks(k2, monkeypatch):
-    # callbacks that take one point at a time are called once per row the
-    # batched Newton driver evaluates (the Jacobian once more, to classify
-    # the root), and never with a stack
-    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
-    ndims = {"residual": [], "jacobian": []}
-
-    def res(u):
-        ndims["residual"].append(np.ndim(u))
-        return residual(k2, m, u)
-
-    def jac(u):
-        ndims["jacobian"].append(np.ndim(u))
-        return jacobian(k2, m, u)
-
-    rows = {"residual": 0, "jacobian": 0}
-    real_batch = solve_mod._newton_batch
-
-    def counting_batch(problem, seeds, opts):
-        def counted(name, fn):
-            def wrapped(X):
-                rows[name] += len(X)
-                return fn(X)
-            return wrapped
-
-        problem = dataclasses.replace(problem, residual=counted("residual", problem.residual),
-                                      jacobian=counted("jacobian", problem.jacobian))
-        return real_batch(problem, seeds, opts)
-
-    monkeypatch.setattr(solve_mod, "_newton_batch", counting_batch)
-    sol = newton(res, jac, np.array([-2.1, -2.2]), mu=k2.mu)
-    assert np.allclose(sol.point, constant_solutions(m)[0], atol=1e-10)
-    assert sol.morse_index == 0
-    for name, extra in (("residual", 0), ("jacobian", 1)):
-        assert ndims[name] and set(ndims[name]) == {1}, name
-        assert len(ndims[name]) == rows[name] + extra, name
 
 
 def test_gauged_energy_max_route_yields_solution(k2):
@@ -234,12 +188,20 @@ def test_enumerate_five_vertex_graph():
     assert rep.enumeration.stable
 
 
-def test_newton_pseudo_inverse_path(k2):
+def test_newton_pseudo_inverse_path(k2, monkeypatch):
     # lam = 0 with a mean-zero source: the Jacobian is exactly the singular
-    # -Laplacian, so steps fall back to least squares and the flag is raised
+    # -Laplacian, so steps fall back to least squares
     m = ScalarModel(lam=0.0, f=np.array([1.0, -1.0]))
+    real_lstsq = np.linalg.lstsq
+    calls = []
+
+    def spy(a, b, rcond=None):
+        calls.append(a)
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(solve_mod.np.linalg, "lstsq", spy)
     sol = solve_scalar(k2, m, 0.0)
-    assert sol.pseudo_inverse_used
+    assert calls
     assert sup_norm(residual(k2, m, sol.point)) <= 1e-12
     assert not sol.nondegenerate  # the root family is genuinely degenerate
 
@@ -266,14 +228,12 @@ def test_solver_failures_name_their_reason(k2):
         solve_scalar(k2, ScalarModel(lam=1.0, f=np.zeros(2)), 699.0)
 
 
-@pytest.mark.parametrize("entry", ["newton", "solve_scalar", "solve_system"])
+@pytest.mark.parametrize("entry", ["solve_scalar", "solve_system"])
 def test_out_of_range_seed_rejected_by_every_entry_point(k2, entry):
     seed = np.array([1.0, EXP_GUARD + 1.0])
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
     calls = {
-        "newton": lambda: newton(lambda u: residual(k2, m, u), lambda u: jacobian(k2, m, u),
-                                 seed, mu=k2.mu),
         "solve_scalar": lambda: solve_scalar(k2, m, seed),
         "solve_system": lambda: solve_system(k2, s, np.zeros(2), seed),
     }
@@ -281,33 +241,19 @@ def test_out_of_range_seed_rejected_by_every_entry_point(k2, entry):
         calls[entry]()
 
 
-@pytest.mark.parametrize("entry", ["newton", "solve_scalar", "solve_system"])
+@pytest.mark.parametrize("entry", ["solve_scalar", "solve_system"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_seed_rejected_by_every_entry_point(k2, entry, bad):
     seed = np.array([bad, 0.0])
     m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
     s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
     calls = {
-        "newton": lambda: newton(lambda u: residual(k2, m, u), lambda u: jacobian(k2, m, u),
-                                 seed, mu=k2.mu),
         "solve_scalar": lambda: solve_scalar(k2, m, seed),
         "solve_system": lambda: solve_system(k2, s, np.zeros(2), seed),
     }
     with pytest.raises(ValueError, match="seed must be finite") as info:
         calls[entry]()
     assert type(info.value) is ValueError
-
-
-def test_newton_callback_check(k2):
-    m = ScalarModel(lam=2.0, f=np.zeros(2))
-    with pytest.raises(ValueError, match="finite differences"):
-        newton(
-            lambda u: residual(k2, m, u),
-            lambda u: np.eye(2),
-            np.array([0.3, -0.2]),
-            SolveOptions(check_callbacks=True),
-            mu=k2.mu,
-        )
 
 
 def test_enumerate_unique_root(k2):
@@ -461,13 +407,11 @@ def test_newton_steps_mixed_stack_matches_row_by_row(k2):
         else:
             J[k] = np.array([[np.nan, 1.0], [0.0, np.inf]])
     F = rng.normal(size=(len(kinds), 2))
-    pseudo = np.zeros(len(kinds), dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
+        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F)
 
     kinds = np.array(kinds)
-    np.testing.assert_array_equal(pseudo, kinds == "singular")
     np.testing.assert_array_equal(bad, kinds == "nonfinite")
     for k, kind in enumerate(kinds):
         if kind == "regular":
@@ -485,9 +429,8 @@ def test_newton_steps_all_singular_stack(k2):
     sing = jacobian(k2, ScalarModel(lam=0.0, f=np.array([1.0, -1.0])), np.zeros(2))
     J = np.stack([sing, 2.0 * sing, 0.5 * sing])
     F = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.25]])
-    pseudo = np.zeros(3, dtype=bool)
-    steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
-    assert pseudo.all() and not bad.any()
+    steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F)
+    assert not bad.any()
     for k in range(3):
         assert steps[k].tobytes() == np.linalg.lstsq(J[k], -F[k], rcond=None)[0].tobytes()
 
@@ -516,14 +459,12 @@ def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
         return real_lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "lstsq", spy)
-    pseudo = np.zeros(len(kinds), dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F, pseudo)
+        steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F)
 
     kinds = np.array(kinds)
     singular = np.isin(kinds, ["negL", "twice", "signed_zero"])
-    np.testing.assert_array_equal(pseudo, singular)
     np.testing.assert_array_equal(bad, kinds == "nonfinite")
     # one call per distinct matrix, its columns the right-hand sides of its rows
     assert sorted(a.tobytes() for a, _ in calls) == sorted(
@@ -618,12 +559,12 @@ def _merge_levels_loop(levels, lo, hi, tol):
     # the root-by-root merge enumerate_report used before, kept as the
     # reference: each level's converged rows inside the box are deduplicated
     # among themselves, then merged one by one into parallel known lists
-    known, known_norm, known_pseudo, known_iters = [], [], [], []
+    known, known_norm = [], []
     stable = False
-    for refinement, (X, nF, status, pseudo, iters) in enumerate(levels):
+    for refinement, (X, nF, status) in enumerate(levels):
         sel = ((status == solve_mod._CONVERGED) & np.all(X >= lo - tol, axis=1)
                & np.all(X <= hi + tol, axis=1))
-        pts, pn, pp, pi = X[sel], nF[sel], pseudo[sel], iters[sel]
+        pts, pn = X[sel], nF[sel]
         new_found = False
         if len(pts):
             for i in _dedup_points(pts, pn, tol):
@@ -633,18 +574,15 @@ def _merge_levels_loop(levels, lo, hi, tol):
                     j = int(np.argmin(dists))
                     if pn[i] < known_norm[j]:
                         known[j], known_norm[j] = p, float(pn[i])
-                        known_pseudo[j], known_iters[j] = bool(pp[i]), int(pi[i])
                 else:
                     known.append(p)
                     known_norm.append(float(pn[i]))
-                    known_pseudo.append(bool(pp[i]))
-                    known_iters.append(int(pi[i]))
                     if refinement > 0:
                         new_found = True
         if refinement > 0 and not new_found:
             stable = True
             break
-    return list(zip(known, known_norm, known_pseudo, known_iters)), stable, refinement + 1
+    return list(zip(known, known_norm)), stable, refinement + 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -667,7 +605,7 @@ def test_enumerate_merge_matches_root_by_root_loop(k2, monkeypatch, seed):
         nF = np.concatenate([nf for _, nf in parts])
         N = len(X)
         st = np.full(N, solve_mod._CONVERGED, dtype=np.int8) if status is None else status
-        return X, nF, st, rng.random(N) < 0.3, rng.integers(1, 60, N).astype(np.int32)
+        return X, nF, st
 
     def lattice(k, a, b):  # residual norms on a coarse lattice, so many tie
         return rng.integers(a, b, k) * 1e-14
@@ -703,9 +641,9 @@ def test_enumerate_merge_matches_root_by_root_loop(k2, monkeypatch, seed):
     assert rep.stable and len(rep.grid_levels) == used
     expected.sort(key=lambda row: (tuple(np.rint(row[0] / tol).tolist()), tuple(row[0])))
     assert len(rep.roots) == len(expected) == (5 if grows else 4)
-    for r, (p, norm, pseudo, iters) in zip(rep.roots, expected):
+    for r, (p, norm) in zip(rep.roots, expected):
         assert r.point.tobytes() == p.tobytes()
-        assert (r.residual_norm, r.pseudo_inverse_used, r.iterations) == (norm, pseudo, iters)
+        assert r.residual_norm == norm
     points = [r.point.tobytes() for r in rep.roots]
     assert refound[0][0][0].tobytes() in points
     assert tie_point[0].tobytes() not in points
@@ -732,8 +670,6 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
     nF = _norms(F)
     status = np.full(N, solve_mod._RUNNING, dtype=np.int8)
     status[~np.isfinite(nF)] = solve_mod._DIVERGED
-    pseudo = np.zeros(N, dtype=bool)
-    iters = np.zeros(N, dtype=np.int32)
     tmin = 1e-12
     check_every, check_norm = 8, nF.copy()
     running_code, conv_code = solve_mod._RUNNING, solve_mod._CONVERGED
@@ -747,10 +683,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
         act = np.nonzero(status == running_code)[0]
         if act.size == 0:
             break
-        iters[act] += 1
-        psub = pseudo[act].copy()
-        steps, bad = _newton_steps(problem, X[act], F[act], psub)
-        pseudo[act] = psub
+        steps, bad = _newton_steps(problem, X[act], F[act])
         status[act[bad]] = solve_mod._DIVERGED
         live = act[~bad]
         if live.size == 0:
@@ -786,9 +719,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
     for _ in range(solve_mod._POLISH_STEPS):
         if conv.size == 0:
             break
-        psub = pseudo[conv].copy()
-        steps, bad = _newton_steps(problem, X[conv], F[conv], psub)
-        pseudo[conv] = psub
+        steps, bad = _newton_steps(problem, X[conv], F[conv])
         trial = X[conv] + steps
         Ft = _residual_rows(problem, trial)
         nFt = _norms(Ft)
@@ -798,7 +729,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
         F[gi] = Ft[better]
         nF[gi] = nFt[better]
         conv = gi
-    return X, nF, status, pseudo, iters
+    return X, nF, status
 
 
 def _squash_problem():
@@ -859,14 +790,15 @@ def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
         calls.append(("rows", len(X)))
         return real_rows(problem, X)
 
-    def steps_spy(problem, X, F, pseudo):
+    def steps_spy(problem, X, F):
         calls.append(("step", len(X)))
-        return real_steps(problem, X, F, pseudo)
+        return real_steps(problem, X, F)
 
     monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
     monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
     got = _newton_batch(problem, seeds, opts)
-    for name, a, b in zip(("X", "nF", "status", "pseudo", "iters"), got, expected):
+    assert len(got) == len(expected) == 3
+    for name, a, b in zip(("X", "nF", "status"), got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     full_round = None
@@ -897,7 +829,7 @@ def test_newton_batch_chunk_sizes(monkeypatch):
     def stub(problem, X, opts):
         sizes.append(len(X))
         n = len(X)
-        return X, np.zeros(n), np.zeros(n, np.int8), np.zeros(n, bool), np.zeros(n, np.int32)
+        return X, np.zeros(n), np.zeros(n, np.int8)
 
     monkeypatch.setattr(solve_mod, "_newton_chunk", stub)
     for n, rows in ((2, 65_536), (4, 16_384), (5, 10_485), (8, 4_096)):
@@ -930,7 +862,8 @@ def test_newton_batch_chunks_match_one_stack(monkeypatch):
     got = _newton_batch(problem, seeds, opts)
     assert sizes == [56, 55, 55, 55, 55]
     assert seeds.tobytes() == given.tobytes()
-    for name, a, b in zip(("X", "nF", "status", "pseudo", "iters"), got, expected):
+    assert len(got) == len(expected) == 3
+    for name, a, b in zip(("X", "nF", "status"), got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     # real C4 seeds in chunks of at most 500 rows: the same statuses, and the
@@ -952,7 +885,7 @@ def test_newton_batch_chunks_match_one_stack(monkeypatch):
 def test_newton_batch_memory_is_one_chunk_plus_row_arrays(monkeypatch):
     # eight chunks of C4 seeds may add their O(N n) arrays to one chunk's
     # peak (the working copy of the seeds, the per-chunk outputs and their
-    # concatenation: 92 bytes a row at n = 4, under 3 N n float64), but
+    # concatenation: 82 bytes a row at n = 4, under 3 N n float64), but
     # never eight chunks' Jacobian stacks
     monkeypatch.setattr(solve_mod, "_CHUNK_ENTRIES", 2 ** 14)
     rows = 2 ** 14 // 16

@@ -165,13 +165,13 @@ def test_system_signs_cancel_on_weighted_graph():
 def test_maximum_principle_split_bounds(k2):
     # with positive source means, the gauge split of any root obeys
     # w <= -min(phi) and z <= -min(psi) pointwise
-    from cshlab import average, enumerate_solutions, solve_poisson
+    from cshlab import average, enumerate_report, solve_poisson
 
     s, u0, v0 = manufactured_system(k2)
     assert average(k2, s.f) > 0.0 and average(k2, s.g) > 0.0
     phi = solve_poisson(k2, s.f - average(k2, s.f))
     psi = solve_poisson(k2, s.g - average(k2, s.g))
-    roots = enumerate_solutions(k2, s, box=(-9.0, 3.0))
+    roots = enumerate_report(k2, s, box=(-9.0, 3.0)).roots
     assert roots, "control system must have roots"
     for r in roots:
         u, v = r.point[:2], r.point[2:]

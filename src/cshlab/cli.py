@@ -48,21 +48,39 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    return cfg
+    return _object(cfg, "top level", _TOP_KEYS)
 
 
 # Config values are checked where they are read: JSON null, strings, lists
 # and booleans would otherwise surface as TypeErrors deep in the solver.
+# Each config object is read with the keys it takes; any other key (a typo,
+# a key of the other model) is refused, not ignored.
+_TOP_KEYS = ("graph", "model", "parameters", "source", "tolerances",
+             "solve", "enumerate", "degree", "sweep", "system")
+_PARAMETER_KEYS = {"scalar": ("lambda", "p", "sigma"), "system": ("p", "q", "sigma")}
+_SOURCE_KEYS = {"scalar": ("f",), "system": ("f", "g")}
+_SOLVE_KEYS = {"scalar": ("seed",), "system": ("seed", "seed_u", "seed_v")}
+_SYSTEM_KEYS = ("Lambda1", "Lambda2", "sigma_grid")
 
-def _section(cfg: dict, name: str, default: dict | None = None) -> dict:
-    """The config's ``name`` object (``default``, else empty, when absent)."""
-    section = cfg.get(name, {} if default is None else default)
-    if not isinstance(section, dict):
-        raise ConfigError(f"config entry {name!r} must be an object, got {section!r}")
-    if "grid" in section:  # refused, not ignored: no enumerator takes a config grid
-        raise ConfigError(f"config entry {name!r} takes no 'grid': "
-                          "the seed grid follows the dimension")
-    return section
+
+def _object(value, name: str, keys=None) -> dict:
+    """``value`` as a config object holding no key outside ``keys``.
+
+    ``keys`` None leaves the keys to the reader (``SolveOptions`` names an
+    unknown tolerance itself).
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"config entry {name!r} must be an object, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"config entry {name!r} takes no {key!r}")
+    return value
+
+
+def _section(cfg: dict, name: str, keys=None) -> dict:
+    """The config's ``name`` object (empty when absent), as :func:`_object` reads it."""
+    return _object(cfg.get(name, {}), name, keys)
 
 
 def _number(value, name: str) -> float:
@@ -130,6 +148,7 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
     if kind == "constant":
         return np.full(g.ell, _finite(payload, f"source {name} constant"))
     if kind == "values":
+        payload = _object(payload, f"source {name} values", g.vertices)
         try:
             return np.array([_finite(payload[v], f"source {name} value at {v}") for v in g.vertices])
         except KeyError as exc:
@@ -138,6 +157,7 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
         if not isinstance(payload, dict):
             raise ConfigError(f"source {name}: dirac takes an object "
                               f'{{"points": [...], "coefficient": c}}, got {payload!r}')
+        _object(payload, f"source {name} dirac", ("points", "coefficient"))
         points = payload.get("points", [])
         if not isinstance(points, list):  # a string would be read as its characters
             raise ConfigError(f"source {name}: dirac points must be a list, got {points!r}")
@@ -151,8 +171,10 @@ def _source_values(g: WeightedGraph, spec, name: str) -> np.ndarray:
 
 def _build_model(g: WeightedGraph, cfg: dict):
     kind = cfg.get("model", "scalar")
-    params = _section(cfg, "parameters")
-    source = _section(cfg, "source")
+    if kind not in ("scalar", "system"):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    params = _section(cfg, "parameters", _PARAMETER_KEYS[kind])
+    source = _section(cfg, "source", _SOURCE_KEYS[kind])
     try:
         if kind == "scalar":
             return ScalarModel(
@@ -161,17 +183,15 @@ def _build_model(g: WeightedGraph, cfg: dict):
                 p=_count(params.get("p", 1), "p"),
                 sigma=_finite(params.get("sigma", 1.0), "sigma"),
             )
-        if kind == "system":
-            return SystemModel(
-                p=_number(params.get("p", 0.5), "p"),
-                q=_number(params.get("q", 0.5), "q"),
-                f=_source_values(g, source.get("f"), "f"),
-                g=_source_values(g, source.get("g"), "g"),
-                sigma=_finite(params.get("sigma", 1.0), "sigma"),
-            )
-    except (ValueError, TypeError) as exc:  # TypeError: a "values" source that is no object
+        return SystemModel(
+            p=_number(params.get("p", 0.5), "p"),
+            q=_number(params.get("q", 0.5), "q"),
+            f=_source_values(g, source.get("f"), "f"),
+            g=_source_values(g, source.get("g"), "g"),
+            sigma=_finite(params.get("sigma", 1.0), "sigma"),
+        )
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def _solve_options(cfg: dict, args) -> SolveOptions:
@@ -209,6 +229,12 @@ def _root_record(g: WeightedGraph, model, sol: ClassifiedSolution) -> dict:
 
 class _Emitter:
     def __init__(self, out_path: str | None):
+        if out_path is not None:  # checked before any work is done
+            out = Path(out_path)
+            if out.is_dir():
+                raise ConfigError(f"--out {out_path} is a directory")
+            if not out.parent.is_dir():
+                raise ConfigError(f"--out {out_path}: no directory {out.parent}")
         self._path = out_path
         self._fh = None if out_path else sys.stdout
 
@@ -233,7 +259,7 @@ class _Emitter:
 # commands
 
 def cmd_solve(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "solve")
+    section = _section(cfg, "solve", _SOLVE_KEYS[cfg.get("model", "scalar")])
     if isinstance(model, ScalarModel):
         if model.lam == 0.0:
             fbar = average(g, model.f)
@@ -253,19 +279,21 @@ def cmd_solve(g, model, cfg, opts, emit) -> int:
                 "residual_norm": float(sup_norm(residual(g, model, phi))),
             })
             return 0
-        seed = section.get("seed", 0.0)
-        sol = solve_scalar(g, model, _seed_array(g, seed), opts)
+        sol = solve_scalar(g, model, _seed_array(g, section, "seed"), opts)
         emit.emit({**_root_record(g, model, sol), "kind": "solve", "status": "ok"})
         return 0
-    seed_u = _seed_array(g, section.get("seed_u", section.get("seed", 0.0)))
-    seed_v = _seed_array(g, section.get("seed_v", section.get("seed", 0.0)))
+    seed_u = _seed_array(g, section, "seed_u" if "seed_u" in section else "seed")
+    seed_v = _seed_array(g, section, "seed_v" if "seed_v" in section else "seed")
     sol = solve_system(g, model, seed_u, seed_v, opts)
     emit.emit({**_root_record(g, model, sol), "kind": "solve", "status": "ok"})
     return 0
 
 
-def _seed_array(g: WeightedGraph, seed) -> np.ndarray:
+def _seed_array(g: WeightedGraph, section: dict, key: str) -> np.ndarray:
+    """The solve section's seed ``key`` (0.0 when absent) as a vertex function."""
+    seed = section.get(key, 0.0)
     if isinstance(seed, dict):
+        _object(seed, f"solve {key}", g.vertices)
         return np.array([_number(seed.get(v), f"seed at vertex {v}") for v in g.vertices])
     if isinstance(seed, list):
         return np.array(_numbers(seed, "seed"))
@@ -286,7 +314,7 @@ def _evidence(report) -> dict:
 
 
 def cmd_enumerate(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "enumerate")
+    section = _section(cfg, "enumerate", ("box",))
     report = enumerate_report(g, model, box=_box(section), opts=opts)
     for sol in report.roots:
         emit.emit(_root_record(g, model, sol))
@@ -295,12 +323,14 @@ def cmd_enumerate(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_degree(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "degree")
+    # without a system section, the system bound is read from this one
+    section = _section(cfg, "degree", ("radius", "Lambda1", "Lambda2"))
     radius = section.get("radius")
     if radius is not None:
         radius = _finite(radius, "radius")
     elif isinstance(model, SystemModel):
-        radius = _system_bound(g, model, _section(cfg, "system", section)).bound
+        system = _section(cfg, "system", _SYSTEM_KEYS) if "system" in cfg else section
+        radius = _system_bound(g, model, system).bound
     report = degree_by_enumeration(g, model, radius=radius, opts=opts)
     emit.emit(_degree_record(g, model, report))
     return 0
@@ -334,7 +364,7 @@ def _system_bound(g, model, section: dict) -> SystemBound:
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "sweep")
+    section = _section(cfg, "sweep", ("range", "steps", "box"))
     if not isinstance(model, ScalarModel):
         raise ConfigError("sweep is defined for the scalar model")
     if "range" not in section:
@@ -363,7 +393,7 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_system(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "system")
+    section = _section(cfg, "system", _SYSTEM_KEYS)
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
@@ -428,9 +458,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     emit = None
     try:
+        emit = _Emitter(args.out)
         cfg = _load_config(args)
         opts = _solve_options(cfg, args)
-        emit = _Emitter(args.out)
         if args.command == "check":
             return cmd_check(opts, emit)
         g = _load_graph_from(cfg, args)

@@ -8,7 +8,8 @@ once by a midpoint sample).
 at which a strict-minimum or strict-maximum certificate appears, and checks
 the bracketing inequalities that the thresholds must satisfy against the sign
 of the source mean.  ``sigma_homotopy`` follows roots down a deformation
-path, reporting sup-norm growth and branch loss.  A ``box`` of None is
+path, reporting sup-norm growth and branch loss; each slice polishes all
+its roots in one batched Newton call.  A ``box`` of None is
 passed through: :func:`~cshlab.solve.enumerate_report` picks the box.
 
 Empirical thresholds are exactly that: certificate changes observed by the
@@ -27,15 +28,14 @@ from .graphs import WeightedGraph, average, sup_norm
 from .scalar import ScalarModel
 from . import solve  # solve.enumerate_report per call: perfbench's tracer wraps it there
 from .solve import (
+    _CONVERGED,
     ClassifiedSolution,
     SolveOptions,
-    _dedup_points,
     _is_real,
     _make_problem,
-    _solve_one,
-    _sort_roots,
+    _newton_seeds,
+    _roots,
 )
-from .system import SystemModel
 
 __all__ = [
     "BranchRecord",
@@ -173,7 +173,8 @@ def estimate_threshold(
     least ``4 mean(f)`` when the mean is positive, and the negative-minimum
     threshold is at most ``4 mean(f)`` when the mean is negative; a violated
     check flags the run as inconsistent (a solver bug, not a math failure).
-    ``tol``, the width at which bisection stops, must be finite and > 0.
+    ``tol``, the width at which bisection stops, must be finite and no
+    smaller than the float spacing at the larger bracket endpoint.
     """
     if which not in THRESHOLD_KINDS:
         raise ValueError(f"which must be one of {THRESHOLD_KINDS}")
@@ -183,6 +184,9 @@ def estimate_threshold(
     a, b = float(bracket[0]), float(bracket[1])
     if a >= b:
         raise ValueError("bracket must be increasing")
+    spacing = np.spacing(max(abs(a), abs(b)))
+    if tol < spacing:  # floats of the bracket's size may lie farther apart than tol
+        raise ValueError(f"tol {tol!r} is below the float spacing {spacing:.3g} at the bracket")
     cert_a, kind_a = _certificate(g, f, a, which, box, opts)
     cert_b, kind_b = _certificate(g, f, b, which, box, opts)
     if cert_a == cert_b:
@@ -190,15 +194,12 @@ def estimate_threshold(
             "bracket endpoints do not straddle the certificate change "
             f"(certificate at both ends: {cert_a})"
         )
-    kinds = {kind_a, kind_b} - {"none"}
+    kinds = {kind_a, kind_b}
     lo, hi = a, b
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         cert_mid, kind_mid = _certificate(g, f, mid, which, box, opts)
-        if kind_mid != "none":
-            kinds.add(kind_mid)
+        kinds.add(kind_mid)
         if cert_mid == cert_a:
             lo = mid
         else:
@@ -236,8 +237,9 @@ def sigma_homotopy(
     """Track roots along a deformation path in sigma.
 
     The first slice is seeded by enumeration over ``box`` (as in
-    :func:`sweep_lambda`) or by the caller's seeds; each later slice
-    polishes the previous slice's roots.  Events record lost
+    :func:`sweep_lambda`) or by the caller's seeds, checked as for
+    ``solve_scalar``; each later slice by the previous slice's roots.  A
+    slice polishes its seeds in one batched Newton call.  Events record lost
     branches and the sup-norm growth rate per unit ``ln(1/sigma)`` when the
     path descends; roots of the undeformed scalar model with zero source sit
     at ``ln(sigma)``, so that rate approaching 1 is the expected blow-up.
@@ -246,52 +248,34 @@ def sigma_homotopy(
     sigma_path = [float(s) for s in sigma_path]
     if not sigma_path:
         return []
-    n = 2 * g.ell if isinstance(model, SystemModel) else g.ell
+    n = _make_problem(g, model).n
 
-    records: list[BranchRecord] = []
-    first = dataclasses.replace(model, sigma=sigma_path[0])
+    def polish(sigma: float, points: np.ndarray):
+        problem = _make_problem(g, dataclasses.replace(model, sigma=sigma))
+        X, nF, status = _newton_seeds(problem, points, opts)
+        ok = status == _CONVERGED
+        return X, ok, _roots(problem, X[ok], nF[ok], opts.dedup_tol)
+
     if seeds is not None:
         seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
         if seeds.size and seeds.shape[-1] != n:
             raise ValueError(f"each seed must have length {n}, got seeds of shape {seeds.shape}")
-        # seeds sharing a basin polish to one root: keep it once
-        tracked = _dedup_solutions(
-            [t for t in (_polish(g, first, s, opts) for s in seeds.reshape(-1, n))
-             if t is not None], opts.dedup_tol)
+        tracked = polish(sigma_path[0], seeds.reshape(-1, n))[2]
     else:
+        first = dataclasses.replace(model, sigma=sigma_path[0])
         tracked = solve.enumerate_report(g, first, box, opts=opts).roots
-    records.append(BranchRecord(sigma_path[0], list(tracked), _count_types(tracked, n), []))
+    records = [BranchRecord(sigma_path[0], tracked, _count_types(tracked, n), [])]
 
     for prev_sigma, sigma in zip(sigma_path, sigma_path[1:]):
-        m = dataclasses.replace(model, sigma=sigma)
-        kept: list[ClassifiedSolution] = []
+        prev = np.reshape([r.point for r in records[-1].roots], (-1, n))
+        X, ok, kept = polish(sigma, prev)
         events: list[str] = []
-        for r in records[-1].roots:
-            sol = _polish(g, m, r.point, opts)
-            if sol is None:
+        for start, end, found in zip(prev, X, ok):
+            if not found:
                 events.append(f"branch lost at sigma={sigma:.6g} (from {prev_sigma:.6g})")
-                continue
-            kept.append(sol)
-            if 0.0 < sigma < prev_sigma:
-                dlog = np.log(prev_sigma / sigma)
-                rate = (sup_norm(sol.point) - sup_norm(r.point)) / dlog
+            elif 0.0 < sigma < prev_sigma:
+                rate = (sup_norm(end) - sup_norm(start)) / np.log(prev_sigma / sigma)
                 if rate > 0.1:
                     events.append(f"sup norm growing at rate {rate:.3f} per unit ln(1/sigma)")
-        kept = _dedup_solutions(kept, opts.dedup_tol)
         records.append(BranchRecord(sigma, kept, _count_types(kept, n), events))
     return records
-
-
-def _dedup_solutions(sols: list[ClassifiedSolution], tol: float) -> list[ClassifiedSolution]:
-    points = np.array([s.point for s in sols])
-    norms = np.array([s.residual_norm for s in sols])
-    kept = [sols[i] for i in _dedup_points(points, norms, tol)]
-    _sort_roots(kept, tol)
-    return kept
-
-
-def _polish(g, model, point, opts: SolveOptions) -> ClassifiedSolution | None:
-    try:
-        return _solve_one(_make_problem(g, model), np.asarray(point, dtype=float), opts)
-    except SolverError:
-        return None

@@ -47,10 +47,11 @@ with a strictly lower residual).  Roots are classified through the eigenvalues o
 Hessian in the mu-weighted inner product, and reported sorted on coordinates
 rounded to the dedup tolerance, so ties at rounding level cannot flip the order.
 
-``solve_scalar`` and ``solve_system`` share one single-seed path: a
-non-finite seed or one outside the exp guard is rejected, and a failed run
-raises :class:`~cshlab.errors.SolverError` naming its reason (the line search
-stalled, the iterate left the admissible range, or max_iter was exceeded).
+``solve_scalar``, ``solve_system`` and the sigma tracker (once per slice)
+run caller seeds as one checked batch (:func:`_newton_seeds`); a failed
+single seed raises :class:`~cshlab.errors.SolverError` naming its reason
+(the line search stalled, the iterate left the admissible range, or max_iter
+was exceeded).  Every path turns converged rows into roots by :func:`_roots`.
 
 For lam > 0 and a mean-zero source, :func:`subsolution_bounds` gives a
 finite box between a sub- and a super-solution; certified enumeration of that
@@ -479,18 +480,25 @@ _FAILURE_REASONS = {
 }
 
 
+def _newton_seeds(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
+    """:func:`_newton_batch` on a (k, n) stack of caller seeds: a seed with a NaN
+    or infinite entry raises ``ValueError``, one outside the exp guard
+    ``OverflowGuardError``."""
+    finite = np.isfinite(seeds).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"seed must be finite, got {seeds[finite.argmin()]}")
+    _check_range(seeds)
+    return _newton_batch(problem, seeds, opts)
+
+
 def _solve_one(problem: _Problem, seed: np.ndarray, opts: SolveOptions) -> ClassifiedSolution:
     """Damped Newton from one seed, the path behind every single-seed entry point.
 
-    A seed with a NaN or infinite entry raises ``ValueError``; a finite seed
-    outside the exp guard raises ``OverflowGuardError``.  A run that does not
+    Seeds are checked as by :func:`_newton_seeds`.  A run that does not
     converge raises :class:`SolverError` naming why (stalled, diverged or
     max_iter exceeded).
     """
-    if not np.all(np.isfinite(seed)):
-        raise ValueError(f"seed must be finite, got {seed}")
-    _check_range(seed)
-    X, nF, status = _newton_batch(problem, seed[None, :], opts)
+    X, nF, status = _newton_seeds(problem, seed[None, :], opts)
     if status[0] != _CONVERGED:
         reason = _FAILURE_REASONS[int(status[0])].format(max_iter=opts.max_iter)
         raise SolverError(f"Newton failed: {reason}")
@@ -729,7 +737,7 @@ def enumerate_report(
         level = 2 * level - 1
 
     return EnumerationReport(
-        roots=_classified_roots(problem, known, opts.dedup_tol),
+        roots=_roots(problem, *known, opts.dedup_tol),
         box=(lo, hi),
         grid_levels=levels,
         stable=stable,
@@ -742,9 +750,9 @@ def _in_box(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> 
     return np.all(X >= lo - tol, axis=-1) & np.all(X <= hi + tol, axis=-1)
 
 
-def _classified_roots(problem: _Problem, rows, tol: float) -> list[ClassifiedSolution]:
-    """Classify the (points, norms) rows, sorted by :func:`_sort_roots`."""
-    roots = [_classify_root(problem, *row) for row in zip(*rows)]
+def _roots(problem: _Problem, X: np.ndarray, nF: np.ndarray, tol: float) -> list[ClassifiedSolution]:
+    """The rows ``X`` (residual norms ``nF``) deduplicated, classified and sorted."""
+    roots = [_classify_root(problem, X[i], nF[i]) for i in _dedup_points(X, nF, tol)]
     _sort_roots(roots, tol)
     return roots
 
@@ -857,7 +865,7 @@ def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: n
 
     Polished rows: the midpoint of every included box, one seed per cluster
     of unresolved boxes and the constant roots inside an unresolved box;
-    they merge through the same dedup as grid levels.
+    the converged rows inside the box become roots through :func:`_roots`.
     An included box whose polished row does not converge inside it counts as
     unresolved (an included box at the edge may hold a root just outside the
     search box; that root is found but not reported, as on the grid path).  A report is certified only when no box is unresolved and
@@ -871,17 +879,13 @@ def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: n
     seeds = np.vstack([inc_lo + 0.5 * (inc_hi - inc_lo),
                        _cluster_seeds(problem, unr_lo, unr_hi, opts.dedup_tol),
                        np.reshape(anchors, (-1, problem.n))])
-    rows = [np.empty((0, problem.n)), np.empty(0)]
-    unresolved = len(unr_lo)
-    if len(seeds):
-        X, nF, status = _newton_batch(problem, seeds, opts)
-        converged = status == _CONVERGED
-        k = len(inc_lo)
-        unresolved += int(np.count_nonzero(~(converged[:k] & _in_box(X[:k], inc_lo, inc_hi))))
-        ok = converged & _in_box(X, lo, hi, opts.dedup_tol)
-        kept = _dedup_points(X[ok], nF[ok], opts.dedup_tol)
-        rows = [a[ok][kept] for a in (X, nF)]
-    roots = _classified_roots(problem, rows, opts.dedup_tol)
+    X, nF, status = _newton_batch(problem, seeds, opts)
+    converged = status == _CONVERGED
+    k = len(inc_lo)
+    held = converged[:k] & _in_box(X[:k], inc_lo, inc_hi)
+    unresolved = len(unr_lo) + int(np.count_nonzero(~held))
+    ok = converged & _in_box(X, lo, hi, opts.dedup_tol)
+    roots = _roots(problem, X[ok], nF[ok], opts.dedup_tol)
     certified = unresolved == 0 and all(r.nondegenerate for r in roots)
     return EnumerationReport(
         roots=roots,

@@ -319,6 +319,26 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
          "source f coefficient must be a number, got True"),
         ("solve", scalar, {"source": {"f": {"dirac": {"points": "x1"}}}},
          "source f: dirac points must be a list, got 'x1'"),
+        # a key no reader takes is refused, not ignored: a misspelled lambda
+        # would run the default lambda = 1
+        ("enumerate", scalar, {"parameters": {"lamda": -10}, "enumerate": {"bx": [-3, 3]}},
+         "config entry 'parameters' takes no 'lamda'"),
+        ("enumerate", scalar, {"enumerate": {"bx": [-3, 3]}},
+         "config entry 'enumerate' takes no 'bx'"),
+        ("enumerate", scalar, {"enumerat": {"box": [-3, 3]}},
+         "config entry 'top level' takes no 'enumerat'"),
+        ("solve", scalar, {"source": {"f": {"values": {"x1": 1.0, "x2": -1.0, "x3": 0.0}}}},
+         "config entry 'source f values' takes no 'x3'"),
+        ("solve", scalar, {"source": {"f": {"dirac": {"points": ["x1"], "coeficient": -1.0}}}},
+         "config entry 'source f dirac' takes no 'coeficient'"),
+        ("solve", scalar, {"solve": {"seed": {"x1": 0.0, "x2": 0.0, "y9": 1.0}}},
+         "config entry 'solve seed' takes no 'y9'"),
+        # keys of the system model in a scalar config
+        ("solve", scalar, {"parameters": {"lambda": -3.0, "q": 0.5}},
+         "config entry 'parameters' takes no 'q'"),
+        ("solve", scalar, {"source": {"f": {"constant": -1.0}, "g": {"constant": 1.0}}},
+         "config entry 'source' takes no 'g'"),
+        ("solve", scalar, {"solve": {"seed_u": 0.0}}, "config entry 'solve' takes no 'seed_u'"),
     )
     for command, model, section, message in bad_values:
         cfg7 = _write_config(tmp_path, {**model, **section})
@@ -412,6 +432,22 @@ def test_config_error_leaves_out_file_untouched(tmp_path, k2_path, capsys):
     assert main(["system", "--graph", k2_path, "--config", bad_sigma, "--out", str(out_path)]) == 2
     assert capsys.readouterr().out == ""
     assert out_path.read_text() == '{"kind": "earlier run"}\n'
+
+
+def test_unwritable_out_is_refused_before_any_work(tmp_path, k2_path, capsys, monkeypatch):
+    # a directory, or a file in a missing directory, used to fail only when
+    # the first record was written, after the whole enumeration
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated before --out was checked")
+
+    monkeypatch.setattr("cshlab.cli.enumerate_report", no_work)
+    cfg = _write_config(tmp_path, {"model": "scalar", "parameters": {"lambda": -10.0},
+                                   "source": {"f": {"constant": 1.0}}})
+    for out in (tmp_path, tmp_path / "missing" / "out.jsonl"):
+        assert main(["enumerate", "--graph", k2_path, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--out {out}" in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_root_record_carries_every_solution_field(tmp_path, k2_path, capsys):

@@ -1,8 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import cshlab.continuation as continuation
 from cshlab import (
+    OverflowGuardError,
     ScalarModel,
     SolveOptions,
     SolverError,
@@ -13,6 +17,7 @@ from cshlab import (
     sup_norm,
     sweep_lambda,
 )
+from cshlab.solve import _dedup_points, _make_problem, _solve_one, _sort_roots
 from conftest import manufactured_system
 
 
@@ -92,6 +97,15 @@ def test_threshold_bad_bracket(k2):
                                bracket=(-5.0, -3.0), tol=tol)
 
 
+def test_threshold_tol_floor_is_the_float_spacing(k2):
+    # below the spacing of the bracket's floats no bisection gets that narrow
+    with pytest.raises(ValueError, match="below the float spacing"):
+        estimate_threshold(k2, np.ones(2), "strict_min_pos", bracket=(3.0, 5.0), tol=1e-20)
+    tol = np.spacing(5.0)
+    est = estimate_threshold(k2, np.ones(2), "strict_min_pos", bracket=(3.0, 5.0), tol=tol)
+    assert 0.0 < est.hi - est.lo <= tol
+
+
 def test_sweep_rejects_steps_that_are_no_positive_integer(k2):
     # a non-finite count is no positive integer either
     for steps in (float("inf"), float("nan"), 11.7, 0, -2, True):
@@ -112,20 +126,102 @@ def test_sigma_homotopy_tracks_log_sigma(k2):
 
 def test_sigma_homotopy_polish_uses_caller_options(k2, monkeypatch):
     seen = []
-    real = continuation._solve_one
+    real = continuation._newton_seeds
 
-    def spy(problem, seed, opts):
+    def spy(problem, seeds, opts):
         seen.append(opts)
-        return real(problem, seed, opts)
+        return real(problem, seeds, opts)
 
-    monkeypatch.setattr(continuation, "_solve_one", spy)
+    monkeypatch.setattr(continuation, "_newton_seeds", spy)
     m = ScalarModel(lam=1.0, f=np.zeros(2))
     opts = SolveOptions(tol_residual=1e-10, max_iter=50)
     records = sigma_homotopy(k2, m, [1.0, 0.5, 0.25], opts=opts, seeds=[np.zeros(2)])
-    # one polish for the seed, then one per tracked root and slice
+    # one batched polish per slice
     assert len(seen) == 3
     assert all(o is opts for o in seen)
     assert [len(rec.roots) for rec in records] == [1, 1, 1]
+
+
+def _solve_each(g, model, points, opts):
+    """One single-seed solve per point; a failed one as None."""
+    problem = _make_problem(g, model)
+    sols = []
+    for x in points:
+        try:
+            sols.append(_solve_one(problem, np.asarray(x, dtype=float), opts))
+        except SolverError:
+            sols.append(None)
+    return sols
+
+
+def _distinct(sols, n, tol):
+    sols = [s for s in sols if s is not None]
+    points = np.array([s.point for s in sols]).reshape(len(sols), n)
+    kept = [sols[i] for i in _dedup_points(points, np.array([s.residual_norm for s in sols]), tol)]
+    _sort_roots(kept, tol)
+    return kept
+
+
+def _sigma_homotopy_per_root(g, model, sigma_path, opts, seeds=None, box=None):
+    """Reference tracker: a single-seed solve per root and slice, then dedup.
+
+    Returns (sigma, roots, events) per slice.
+    """
+    n = _make_problem(g, model).n
+    first = dataclasses.replace(model, sigma=sigma_path[0])
+    if seeds is not None:
+        tracked = _distinct(_solve_each(g, first, seeds, opts), n, opts.dedup_tol)
+    else:
+        tracked = enumerate_report(g, first, box, opts=opts).roots
+    records = [(sigma_path[0], tracked, [])]
+    for prev_sigma, sigma in zip(sigma_path, sigma_path[1:]):
+        prev = records[-1][1]
+        m = dataclasses.replace(model, sigma=sigma)
+        sols = _solve_each(g, m, [r.point for r in prev], opts)
+        events = []
+        for r, sol in zip(prev, sols):
+            if sol is None:
+                events.append(f"branch lost at sigma={sigma:.6g} (from {prev_sigma:.6g})")
+            elif 0.0 < sigma < prev_sigma:
+                rate = (sup_norm(sol.point) - sup_norm(r.point)) / np.log(prev_sigma / sigma)
+                if rate > 0.1:
+                    events.append(f"sup norm growing at rate {rate:.3f} per unit ln(1/sigma)")
+        records.append((sigma, _distinct(sols, n, opts.dedup_tol), events))
+    return records
+
+
+def _sigma_paths(k2, c4):
+    """(graph, model, path, options, seeds, box, root counts) of the equivalence cases."""
+    s, u0, v0 = manufactured_system(k2)
+    return [
+        (k2, ScalarModel(lam=1.0, f=np.zeros(2)), [10.0 ** (-k) for k in range(5)],
+         SolveOptions(), None, (-4.0, 3.0), [1] * 5),
+        (k2, s, [1.0, 0.5, 0.0], SolveOptions(max_iter=80), [np.concatenate([u0, v0])], None,
+         [1, 0, 0]),
+        (c4, ScalarModel(lam=-10.0, f=np.ones(4)), [1.0, 0.8, 0.6, 0.4, 0.2, 0.05],
+         SolveOptions(), None, (-8.0, 3.0), [15, 15, 15, 11, 9, 5]),
+    ]
+
+
+def test_sigma_homotopy_matches_per_root_solves(k2, c4):
+    # one batched polish per slice finds what a solve per tracked root found;
+    # points differ at most in the last bits of the batched residual
+    for g, model, path, opts, seeds, box, counts in _sigma_paths(k2, c4):
+        with warnings.catch_warnings():  # C4's box (-8, 3) lies inside its a priori ball
+            warnings.filterwarnings("ignore", "box is smaller", UserWarning)
+            got = sigma_homotopy(g, model, path, opts=opts, seeds=seeds, box=box)
+            want = _sigma_homotopy_per_root(g, model, path, opts, seeds=seeds, box=box)
+        assert [len(rec.roots) for rec in got] == counts
+        n = len(got[0].roots[0].point)
+        for rec, (sigma, roots, events) in zip(got, want, strict=True):
+            assert rec.parameter == sigma
+            assert rec.events == events
+            assert rec.counts == continuation._count_types(roots, n)
+            assert len(rec.roots) == len(roots)
+            for a, b in zip(rec.roots, roots):
+                assert (a.morse_index, a.sign_det, a.nondegenerate) == \
+                    (b.morse_index, b.sign_det, b.nondegenerate)
+                assert np.abs(a.point - b.point).max() <= 1e-12
 
 
 def test_sigma_homotopy_system_branch_dies_at_zero(k2):
@@ -150,6 +246,11 @@ def test_sigma_homotopy_seed_list_shapes(k2):
     for seeds in ([np.zeros(3)], np.zeros(4), 0.0):
         with pytest.raises(ValueError, match="each seed must have length 2"):
             sigma_homotopy(k2, m, [1.0], seeds=seeds)
+    # seeds are checked as a single-seed solve checks them
+    with pytest.raises(ValueError, match="seed must be finite"):
+        sigma_homotopy(k2, m, [1.0], seeds=[np.zeros(2), [np.nan, 0.0]])
+    with pytest.raises(OverflowGuardError):
+        sigma_homotopy(k2, m, [1.0], seeds=[np.zeros(2), [701.0, 0.0]])
 
 
 def test_sigma_homotopy_merges_seeds_of_one_basin(k2):

@@ -24,7 +24,6 @@ from cshlab import (
 )
 import cshlab.solve as solve_mod
 from cshlab.checks import check_solver
-from cshlab.continuation import _dedup_solutions
 from cshlab.scalar import EXP_GUARD
 from cshlab.solve import (
     ClassifiedSolution,
@@ -34,6 +33,7 @@ from cshlab.solve import (
     _norms,
     _Problem,
     _residual_rows,
+    _roots,
     _sort_roots,
 )
 
@@ -905,10 +905,11 @@ def test_newton_batch_memory_is_one_chunk_plus_row_arrays(monkeypatch):
     assert peak(seeds) < one_chunk + 3 * seeds.nbytes
 
 
-def test_root_order_ignores_rounding_level_ties():
+def test_root_order_ignores_rounding_level_ties(k2):
     # two roots tie to 1e-15 in their first coordinate; whichever carries the
     # noise and whatever the input order, the second coordinate decides
     tol = SolveOptions().dedup_tol
+    problem = solve_mod._scalar_problem(k2, ScalarModel(lam=-10.0, f=np.ones(2)))
 
     def root(point):
         return ClassifiedSolution(point=np.array(point), residual_norm=0.0, sign_det=1,
@@ -922,7 +923,8 @@ def test_root_order_ignores_rounding_level_ties():
             out = list(given)
             _sort_roots(out, tol)
             orders.add(tuple(r.point[1] for r in out))
-            orders.add(tuple(r.point[1] for r in _dedup_solutions(list(given), tol)))
+            X = np.array([r.point for r in given])
+            orders.add(tuple(r.point[1] for r in _roots(problem, X, np.zeros(2), tol)))
     assert orders == {(-1.0, 2.0)}
 
 

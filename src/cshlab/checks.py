@@ -48,10 +48,16 @@ __all__ = [
 ]
 
 
-def _delta(g: WeightedGraph, i: int) -> np.ndarray:
-    d = np.zeros(g.ell)
-    d[i] = 1.0 / g.mu[i]
-    return d
+def _central_difference(fn, x: np.ndarray, d: np.ndarray):
+    """Central difference quotient of ``fn`` at ``x`` along ``d`` (or each row of it)."""
+    t = 1e-5
+    return (fn(x + t * d) - fn(x - t * d)) / (2.0 * t)
+
+
+def _mu_symmetric(mu: np.ndarray, M: np.ndarray) -> bool:
+    """``mu[:, None] * M`` is symmetric within 1e-9 of its largest entry."""
+    w = mu[:, None] * M
+    return np.abs(w - w.T).max() <= 1e-9 * (1.0 + np.abs(w).max())
 
 
 def check_graph_calculus(seed: int = 0, n_graphs: int = 20, n_funcs: int = 50) -> list[str]:
@@ -127,27 +133,21 @@ def check_scalar_consistency(seed: int = 0, trials: int = 100) -> list[str]:
     against central differences; mu-weighted symmetry of the Jacobian."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
-    t = 1e-5
     for k in range(trials):
         g = random_connected_graph(rng, max_vertices=5)
         m = _rand_scalar_model(rng, g)
         u = rng.uniform(-2.0, 2.0, g.ell)
         res = residual(g, m, u)
-        for i in range(g.ell):
-            d = _delta(g, i)
-            fd = (energy(g, m, u + t * d) - energy(g, m, u - t * d)) / (2.0 * t)
-            if abs(fd - res[i]) > 1e-6 * max(1.0, abs(res[i])):
-                bad.append(f"trial {k}: energy gradient mismatch at vertex {i}")
+        # row i of eye / mu is the delta at vertex i, 1 / mu(i) there
+        grad = _central_difference(lambda x: energy(g, m, x), u, np.eye(g.ell) / g.mu)
+        for i in np.flatnonzero(np.abs(grad - res) > 1e-6 * np.maximum(1.0, np.abs(res))):
+            bad.append(f"trial {k}: energy gradient mismatch at vertex {i}")
         J = jacobian(g, m, u)
-        fd = np.empty_like(J)
-        for i in range(g.ell):
-            e = np.zeros(g.ell)
-            e[i] = t
-            fd[:, i] = (residual(g, m, u + e) - residual(g, m, u - e)) / (2.0 * t)
+        # the quotient along e_i is row i of the stack and column i of J
+        fd = _central_difference(lambda x: residual(g, m, x), u, np.eye(g.ell)).T
         if np.abs(J - fd).max() > 1e-6 * max(1.0, np.abs(J).max()):
             bad.append(f"trial {k}: Jacobian does not match finite differences")
-        weighted = g.mu[:, None] * J
-        if np.abs(weighted - weighted.T).max() > 1e-9 * (1.0 + np.abs(weighted).max()):
+        if not _mu_symmetric(g.mu, J):
             bad.append(f"trial {k}: Jacobian not mu-symmetric")
     return bad
 
@@ -212,47 +212,36 @@ def check_system_consistency(seed: int = 0, trials: int = 60) -> list[str]:
     finite-difference check of the Jacobian, and its block structure."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
-    t = 1e-5
     for k in range(trials):
         g = random_connected_graph(rng, max_vertices=4)
+        ell = g.ell
         s = _rand_system_model(rng, g)
-        u = rng.uniform(-1.5, 1.5, g.ell)
-        v = rng.uniform(-1.5, 1.5, g.ell)
-        phi = rng.uniform(-1.0, 1.0, g.ell)
-        psi = rng.uniform(-1.0, 1.0, g.ell)
-        fd = (
-            functional_G(g, s, u + t * phi, v + t * psi)
-            - functional_G(g, s, u - t * phi, v - t * psi)
-        ) / (2.0 * t)
+        u = rng.uniform(-1.5, 1.5, ell)
+        v = rng.uniform(-1.5, 1.5, ell)
+        phi = rng.uniform(-1.0, 1.0, ell)
+        psi = rng.uniform(-1.0, 1.0, ell)
+        x = np.concatenate([u, v])
+        fd = _central_difference(lambda y: functional_G(g, s, y[:ell], y[ell:]), x,
+                                 np.concatenate([phi, psi]))
         r1, r2 = residual_pair(g, s, u, v)
         pairing = integrate(g, r2 * phi + r1 * psi)
         if abs(fd - pairing) > 1e-6 * max(1.0, abs(pairing)):
             bad.append(f"trial {k}: functional derivative pairing mismatch")
 
-        x = np.concatenate([u, v])
         J = jacobian_system(g, s, u, v)
-        fdJ = np.empty_like(J)
-        for i in range(2 * g.ell):
-            e = np.zeros(2 * g.ell)
-            e[i] = t
-            rp = np.concatenate(residual_pair(g, s, (x + e)[: g.ell], (x + e)[g.ell:]))
-            rm = np.concatenate(residual_pair(g, s, (x - e)[: g.ell], (x - e)[g.ell:]))
-            fdJ[:, i] = (rp - rm) / (2.0 * t)
+        fdJ = _central_difference(
+            lambda y: np.concatenate(residual_pair(g, s, y[:, :ell], y[:, ell:]), axis=1),
+            x, np.eye(2 * ell)).T
         if np.abs(J - fdJ).max() > 1e-6 * max(1.0, np.abs(J).max()):
             bad.append(f"trial {k}: system Jacobian does not match finite differences")
 
-        ell = g.ell
         for blk in (J[:ell, ell:], J[ell:, :ell]):
             if np.abs(blk - np.diag(np.diag(blk))).max() > 0.0:
                 bad.append(f"trial {k}: cross block is not diagonal")
         for blk in (J[:ell, :ell], J[ell:, ell:]):
-            w = g.mu[:, None] * blk
-            if np.abs(w - w.T).max() > 1e-9 * (1.0 + np.abs(w).max()):
+            if not _mu_symmetric(g.mu, blk):
                 bad.append(f"trial {k}: diagonal block not mu-symmetric")
-        H = hessian_system(g, s, u, v)
-        mu2 = np.concatenate([g.mu, g.mu])
-        wh = mu2[:, None] * H
-        if np.abs(wh - wh.T).max() > 1e-9 * (1.0 + np.abs(wh).max()):
+        if not _mu_symmetric(np.concatenate([g.mu, g.mu]), hessian_system(g, s, u, v)):
             bad.append(f"trial {k}: functional Hessian not mu-symmetric")
     return bad
 

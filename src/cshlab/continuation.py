@@ -97,7 +97,8 @@ def sweep_lambda(
     zero sample dropped.  Events mark Morse-type counts changing between
     consecutive grid points, and one midpoint sample is inserted next to each
     event to halve the localization interval.  ``steps`` must be a positive
-    integer (``ValueError`` otherwise; 11.7 is not rounded down).
+    integer (``ValueError`` otherwise; 11.7 is not rounded down).  A ``box``
+    smaller than the a priori ball of any coupling swept earns one warning.
     """
     if not (_is_real(steps) and float(steps).is_integer() and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -114,6 +115,8 @@ def sweep_lambda(
     refined = records + [record(0.5 * (a.parameter + b.parameter))
                          for a, b in zip(records, records[1:])
                          if a.counts != b.counts and np.sign(a.parameter) == np.sign(b.parameter)]
+    solve._warn_small_box(g, [ScalarModel(lam=r.parameter, f=f, p=p, sigma=sigma)
+                              for r in refined], box, 2)
     # keep the caller's sweep direction so events read in sweep order
     refined.sort(key=lambda r: r.parameter, reverse=lambda_range[1] < lambda_range[0])
     for a, b in zip(refined, refined[1:]):
@@ -174,7 +177,8 @@ def estimate_threshold(
     threshold is at most ``4 mean(f)`` when the mean is negative; a violated
     check flags the run as inconsistent (a solver bug, not a math failure).
     ``tol``, the width at which bisection stops, must be finite and no
-    smaller than the float spacing at the larger bracket endpoint.
+    smaller than the float spacing at the larger bracket endpoint.  A ``box``
+    smaller than the a priori ball of any coupling bisected earns one warning.
     """
     if which not in THRESHOLD_KINDS:
         raise ValueError(f"which must be one of {THRESHOLD_KINDS}")
@@ -189,7 +193,9 @@ def estimate_threshold(
         raise ValueError(f"tol {tol!r} is below the float spacing {spacing:.3g} at the bracket")
     cert_a, kind_a = _certificate(g, f, a, which, box, opts)
     cert_b, kind_b = _certificate(g, f, b, which, box, opts)
+    couplings = [a, b]
     if cert_a == cert_b:
+        solve._warn_small_box(g, [ScalarModel(lam=lam, f=f) for lam in couplings], box, 2)
         raise SolverError(
             "bracket endpoints do not straddle the certificate change "
             f"(certificate at both ends: {cert_a})"
@@ -199,11 +205,13 @@ def estimate_threshold(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         cert_mid, kind_mid = _certificate(g, f, mid, which, box, opts)
+        couplings.append(mid)
         kinds.add(kind_mid)
         if cert_mid == cert_a:
             lo = mid
         else:
             hi = mid
+    solve._warn_small_box(g, [ScalarModel(lam=lam, f=f) for lam in couplings], box, 2)
 
     notes: list[str] = []
     fbar = average(g, f)
@@ -257,10 +265,10 @@ def sigma_homotopy(
         return X, ok, _roots(problem, X[ok], nF[ok], opts.dedup_tol)
 
     if seeds is not None:
-        seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
-        if seeds.size and seeds.shape[-1] != n:
-            raise ValueError(f"each seed must have length {n}, got seeds of shape {seeds.shape}")
-        tracked = polish(sigma_path[0], seeds.reshape(-1, n))[2]
+        seeds = np.asarray(seeds, dtype=float)
+        # one seed is a stack of one row, an empty list a stack of none
+        stack = np.atleast_2d(seeds) if seeds.size else np.empty((0, n))
+        tracked = polish(sigma_path[0], stack)[2]
     else:
         first = dataclasses.replace(model, sigma=sigma_path[0])
         tracked = solve.enumerate_report(g, first, box, opts=opts).roots

@@ -50,10 +50,12 @@ interval extension of that product.
 not depend on the boxes for one graph and one scalar model: -L, |-L| scaled
 by G and by gamma, the rounding constants above, the mu-weighted column sums of
 -L and the enclosure of int f dmu used by the integral test, the enclosures
-of sigma/(2p) and of g's minimum there, the exponents 2p - 1 and 2p - 2, the
-identity and the diagonal indices.  Branch and prune builds one per
-enumeration.  Inside it every interval array is a (2, ...) stack too, so the
-two bounds, both endpoints of g and all terms of a sum share each numpy call.
+of sigma/(2p) and of g's minimum there, the exponents 2p - 1 and 2p - 2 and
+the identity; branch and prune builds one per enumeration.  Inside it every
+interval array is a (2, ...) stack too, so the two bounds, both endpoints of
+g and all terms of a sum share each numpy call.  The point Jacobian J(c) at
+the box midpoints is the scalar model's own (:func:`~cshlab.scalar.jacobian`
+without its range check).
 
 :meth:`ScalarKernel.krawczyk` evaluates the Krawczyk operator (R. Krawczyk,
 Computing 4, 1969; Moore, Kearfott and Cloud, Introduction to Interval
@@ -66,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import WeightedGraph
-from .scalar import ScalarModel
+from .scalar import ScalarModel, _jacobian_exp
 
 __all__ = ["ScalarKernel"]
 
@@ -178,12 +180,12 @@ class ScalarKernel:
         self.grow_abs_A = np.nextafter(self.grow * abs_A, np.inf)
         self.gamma_abs_A = np.nextafter(self.gamma * abs_A, np.inf)
         self.slack = np.nextafter(self.tiny + 4 * _U * np.abs(m.f), np.inf)
+        self.g, self.m = g, m
         self.mu, self.f = g.mu, m.f
         self.lam, self.sigma = m.lam, m.sigma
         self.two_p = 2 * m.p
         self.k_g, self.k_d = 2 * m.p - 1, 2 * m.p - 2
         self.eye = np.eye(g.ell)
-        self.diag = np.arange(g.ell)
         with np.errstate(all="ignore"):
             # sum_x mu(x) (-L)[x, y], one column y per entry
             self.col_sums = _sum_last(_widen(self.mu * self.A.T))
@@ -233,24 +235,12 @@ class ScalarKernel:
         Q = _out(_out(self.two_p * T) - self.sigma)
         return _scale(self.lam, _mul(TS, Q))
 
-    def _jacobian_at(self, t):
-        """J(c) at the points c with ``t = np.exp(c)``, one matrix per row.
-
-        Evaluated here, not by :func:`~cshlab.scalar.jacobian`, which rejects
-        |c| > 700: box midpoints may lie past it.
-        """
-        i = self.diag
-        J = np.empty(t.shape + (len(i),))
-        J[:] = self.A
-        J[:, i, i] += self.lam * t * (t - self.sigma) ** self.k_d * (self.two_p * t - self.sigma)
-        return J
-
     def _centre(self, X):
         """Box midpoints ``c``, ``t = e^c`` and Y, a floating-point inverse of J(c)."""
         lo, hi = X
         c = np.clip(lo + 0.5 * (hi - lo), lo, hi)
         t = np.exp(c)
-        return c, t, _approximate_inverse(self._jacobian_at(t))
+        return c, t, _approximate_inverse(_jacobian_exp(self.g, self.m, t))
 
     def residual_bounds(self, X):
         """Enclosure of ``F(u) = -L u + lam e^u (e^u - sigma)^(2p-1) + f`` over each box."""

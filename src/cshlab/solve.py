@@ -21,16 +21,15 @@ Only :func:`enumerate_report` takes a ``grid_n`` (on a scalar model, the
 reference the certified path is tested against).
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
-on whole batches of seeds at once, so grid-seeded enumeration over tiny graphs
-stays fast even with 10^5..10^6 seeds.  A batch runs in near-equal chunks of
-at most 2**18 Jacobian entries (2 MiB of float64) each, one chunk after the
-other, so memory grows with the seed count as O(seeds n), not O(seeds n^2).
+on whole batches of seeds at once (a K2 system slice: 4,802 grid seeds, then
+28,561).  A batch runs in near-equal chunks of at most 2**18 Jacobian
+entries (2 MiB of float64) each, one chunk after the other, so memory grows
+with the seed count as O(seeds n), not O(seeds n^2).
 Each Newton step is one stacked linear solve per chunk; when a singular
 Jacobian makes it fail, the sign of the LU determinant picks out the singular
 rows, the rest are solved in one stacked call again and only the singular
 rows take a least-squares step: one ``lstsq`` call per distinct singular
-Jacobian, with the right-hand sides of the rows sharing it as columns (in
-the far field of the seeding box every singular Jacobian is the same -L).
+Jacobian, with the right-hand sides of the rows sharing it as columns.
 The backtracking ladder 1, d, d^2, ... >= 1e-12 (d = 0.5, built once at
 import; Armijo constant 1e-4) is tested in blocks of 1, 1, 2, 4, ...
 step lengths, each block one stacked residual call over the rows still
@@ -314,12 +313,12 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     makes ``solve`` reject a row) and the other rows are solved in one stacked
     call.  The singular rows take a least-squares step: rows whose
     Jacobians are equal byte for byte (so -0.0 and 0.0 differ) share one
-    ``lstsq`` call, their right-hand sides stacked as its columns.
-    In the far field every singular Jacobian is the same -L, so one call
-    serves thousands of rows.  With OpenBLAS 0.3.31 each column equals a
-    one-column call bit for bit for Jacobians up to 7x7; from 8x8 on, random
-    right-hand sides were seen to differ in the last bits (below 1e-14
-    relative).
+    ``lstsq`` call, their right-hand sides stacked as its columns.  On the
+    seed-0 system_homotopy benchmark pass LU met a zero pivot 201 times, and
+    76,432 singular rows took 35,827 calls: 31,169 for one row, at most 5,504.
+    With OpenBLAS 0.3.31 each column equals a one-column call bit for bit for
+    Jacobians up to 7x7; from 8x8 on, random right-hand sides were seen to
+    differ in the last bits (below 1e-14 relative).
     """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
@@ -361,9 +360,9 @@ _POLISH_STEPS = 6
 
 # Jacobian entries per Newton chunk: 2**18 float64 entries are 2 MiB, e.g.
 # 16,384 rows at n = 4.  Each chunk runs as many rounds as its slowest row,
-# so small chunks repeat the per-round overhead: of 2**14, 2**16, 2**18,
-# 2**20 and one stack, 2**18 gave the fastest C4 and K5 degree runs and
-# 2**14 the slowest (about 40 % slower than one stack).
+# so small chunks repeat the per-round overhead.  On the seed-0 benchmark
+# pass only the system audit fills chunks (a K2 slice: 4,802 seeds in one,
+# then 28,561 in two); degree_table's seven enumerations polish 64 rows.
 _CHUNK_ENTRIES = 2 ** 18
 
 
@@ -380,8 +379,6 @@ def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
     bits of the residual's matrix product and of a grouped ``lstsq`` call.
     """
     X = np.array(seeds, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
     rows = max(1, _CHUNK_ENTRIES // X.shape[1] ** 2)
     chunks = np.array_split(X, max(1, -(-len(X) // rows)))
     outs = [_newton_chunk(problem, chunk, opts) for chunk in chunks]
@@ -481,9 +478,11 @@ _FAILURE_REASONS = {
 
 
 def _newton_seeds(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
-    """:func:`_newton_batch` on a (k, n) stack of caller seeds: a seed with a NaN
-    or infinite entry raises ``ValueError``, one outside the exp guard
-    ``OverflowGuardError``."""
+    """:func:`_newton_batch` on a (k, n) stack of caller seeds: a stack of any
+    other shape or a seed with a NaN or infinite entry raises ``ValueError``,
+    a seed outside the exp guard ``OverflowGuardError``."""
+    if seeds.ndim != 2 or seeds.shape[1] != problem.n:
+        raise ValueError(f"each seed must have length {problem.n}, got shape {seeds.shape}")
     finite = np.isfinite(seeds).all(axis=1)
     if not finite.all():
         raise ValueError(f"seed must be finite, got {seeds[finite.argmin()]}")
@@ -675,24 +674,18 @@ def enumerate_report(
     """
     opts = opts or SolveOptions()
     problem = _make_problem(g, model)
-    radius = _apriori_radius_or_none(g, model) if box is None or check_box else None
     if box is None:
+        radius = _apriori_radius_or_none(g, model)
         if radius is None:
             raise ValueError("no a priori bound (it needs a scalar model with p = 1, sigma = 1 "
                              "and lam * mean(f) != 0); pass box explicitly")
         box = (-radius, radius)
+    elif check_box:
+        _warn_small_box(g, [model], box, 2)
     lo, hi = _normalize_box(box, problem.n)
     certified = grid_n is None and isinstance(model, ScalarModel)
     if certified and not np.all(np.isfinite([lo, hi])):
         raise ValueError("certified enumeration needs a finite box")
-    if check_box and radius is not None:
-        slack = 1e-6 * (1.0 + radius)
-        if np.any(lo > -radius + slack) or np.any(hi < radius - slack):
-            warnings.warn(
-                f"box is smaller than the a priori radius {radius:.3g}; "
-                "roots outside the box will be missed",
-                stacklevel=2,
-            )
     if certified:
         return _certified_report(g, model, problem, lo, hi, opts)
 
@@ -897,6 +890,20 @@ def _certified_report(g: WeightedGraph, m: ScalarModel, problem: _Problem, lo: n
         boxes=boxes,
         unresolved=unresolved,
     )
+
+
+def _warn_small_box(g: WeightedGraph, models: list, box, stacklevel: int) -> None:
+    """Warn when ``box`` (None: each model's own ball) misses part of the a priori
+    ball of any of ``models``; ``stacklevel`` counts as for :func:`warnings.warn`."""
+    radii = [_apriori_radius_or_none(g, m) for m in models] if box is not None else []
+    radius = max((r for r in radii if r is not None), default=None)
+    if radius is None:
+        return
+    lo, hi = _normalize_box(box, g.ell)
+    slack = 1e-6 * (1.0 + radius)
+    if np.any(lo > -radius + slack) or np.any(hi < radius - slack):
+        warnings.warn(f"box is smaller than the a priori radius {radius:.3g}; "
+                      "roots outside the box will be missed", stacklevel=stacklevel + 1)
 
 
 def _apriori_radius_or_none(g: WeightedGraph, model) -> float | None:

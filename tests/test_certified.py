@@ -32,6 +32,7 @@ from cshlab import (
 import cshlab.solve as solve_mod
 from cshlab import interval
 from cshlab.graphs import average
+from cshlab.scalar import jacobian
 from cshlab.solve import (
     _CONVERGED,
     _branch_and_prune,
@@ -247,6 +248,21 @@ def test_krawczyk_encloses_its_exact_point_images(centre, scale):
                     assert not (np.isfinite(hi_i) and image[i] > Fraction(hi_i)), (m, centre, b)
                     checked += not np.isnan(lo_i) and not np.isnan(hi_i)
     assert checked or centre == 700.0
+
+
+def test_kernel_centre_inverts_the_scalar_jacobian(monkeypatch):
+    # the J(c) the Krawczyk test inverts is scalar.jacobian(c) bit for bit,
+    # for every p and sigma, wherever that is defined (|c| <= 700)
+    taken = []
+    monkeypatch.setattr(interval, "_approximate_inverse", lambda J: taken.append(J) or J)
+    rng = np.random.default_rng(23)
+    for g, m in _models():
+        kernel = interval.ScalarKernel(g, m)
+        for centre, scale in ((0.0, 3.0), (-5.0, 0.01), (345.0, 8.0), (-690.0, 8.0), (690.0, 8.0)):
+            X = _random_boxes(rng, centre, scale, 64, g.ell)
+            with np.errstate(all="ignore"):
+                c = kernel._centre(X)[0]
+            assert taken.pop().tobytes() == jacobian(g, m, c).tobytes(), (m, centre)
 
 
 def test_krawczyk_without_an_inverse_holds_the_box():

@@ -176,7 +176,9 @@ def test_sweep_csv(tmp_path, k2_path, capsys):
         "source": {"f": {"constant": -1.0}},
         "sweep": {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0]},
     })
-    code = main(["sweep", "--graph", k2_path, "--config", cfg])
+    # the box is smaller than the a priori ball of either coupling
+    with pytest.warns(UserWarning, match="a priori radius"):
+        code = main(["sweep", "--graph", k2_path, "--config", cfg])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "parameter,root_id,u_x1,u_x2,morse_index,sign_det"

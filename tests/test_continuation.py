@@ -30,7 +30,8 @@ def test_sweep_zero_source_keeps_trivial_root(k2):
 
 def test_sweep_detects_constant_branch_birth(k2):
     # constant roots of the f = -1 model exist exactly for lam <= 4*mean(f) = -4
-    records = sweep_lambda(k2, np.full(2, -1.0), (-3.0, -5.0), steps=3, box=(-6.0, 2.0))
+    with pytest.warns(UserWarning, match="a priori radius"):
+        records = sweep_lambda(k2, np.full(2, -1.0), (-3.0, -5.0), steps=3, box=(-6.0, 2.0))
     params = [rec.parameter for rec in records]
     assert params == sorted(params, reverse=True)  # sweep order preserved
     for rec in records:
@@ -45,10 +46,42 @@ def test_sweep_detects_constant_branch_birth(k2):
 
 
 def test_sweep_warm_start_reverifies(k2):
-    records = sweep_lambda(k2, np.full(2, -1.0), (-5.0, -7.0), steps=3, box=(-6.0, 2.0))
+    with pytest.warns(UserWarning, match="a priori radius"):
+        records = sweep_lambda(k2, np.full(2, -1.0), (-5.0, -7.0), steps=3, box=(-6.0, 2.0))
     for rec in records:
         for r in rec.roots:
             assert r.residual_norm <= 1e-12
+
+
+def test_small_box_warns_once_per_sweep_and_bisection(k2):
+    # the a priori radius grows with |lam| on K2: 35.2 at lam = -4.5, 38.3 at -5
+    f = np.full(2, -1.0)
+    r5 = apriori_radius(k2, ScalarModel(lam=-5.0, f=f)).radius
+    r45 = apriori_radius(k2, ScalarModel(lam=-4.5, f=f)).radius
+    runs = (
+        lambda box: sweep_lambda(k2, f, (-3.0, -5.0), steps=3, box=box),
+        lambda box: estimate_threshold(k2, f, "strict_min_neg", bracket=(-5.0, -3.0),
+                                       tol=0.5, box=box),
+    )
+    for run in runs:
+        # four or more enumerations, one warning, naming the largest ball
+        with pytest.warns(UserWarning) as caught:
+            run((-6.0, 2.0))
+        text = f"box is smaller than the a priori radius {r5:.3g}; roots outside the box"
+        assert [str(w.message) for w in caught] == [text + " will be missed"]
+        # a box that covers the ball at lam = -4.5 misses part of the one at -5
+        with pytest.warns(UserWarning, match=f"radius {r5:.3g}"):
+            run((-r45, r45))
+        # a box that covers every coupling's ball, and the default box, stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run((-r5, r5))
+            run(None)
+    # a bisection whose bracket does not straddle the change still warns once
+    with pytest.warns(UserWarning) as caught, pytest.raises(SolverError, match="straddle"):
+        estimate_threshold(k2, f, "strict_min_neg", bracket=(-7.0, -5.0), tol=0.5,
+                           box=(-6.0, 2.0))
+    assert len(caught) == 1
 
 
 def test_threshold_negative_min_contains_4fbar(k2):

@@ -40,10 +40,10 @@ def test_readme_experiment_config_passes_the_key_check(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     for command in ("solve", "enumerate", "degree", "sweep"):
-        # the documented enumerate box [-8, 3] is smaller than K2's a priori
-        # ball; sweeps pass their box on without that check
+        # the documented enumerate and sweep box [-8, 3] is smaller than
+        # K2's a priori ball
         small_box = pytest.warns(UserWarning, match="a priori")
-        with small_box if command == "enumerate" else contextlib.nullcontext():
+        with small_box if command in ("enumerate", "sweep") else contextlib.nullcontext():
             code = main([command, "--config", str(path)])
         assert code == 0, (command, capsys.readouterr().err)
         capsys.readouterr()

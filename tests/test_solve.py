@@ -256,6 +256,18 @@ def test_non_finite_seed_rejected_by_every_entry_point(k2, entry, bad):
     assert type(info.value) is ValueError
 
 
+def test_misshapen_seed_is_named(k2):
+    # a stack of seeds, or a seed of another length, raises ValueError naming
+    # the length Newton needs, not an IndexError from inside it
+    m = ScalarModel(lam=-10.0, f=np.full(2, -1.0))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    for call, n in ((lambda: solve_scalar(k2, m, [[0.0, 0.0], [1.0, 1.0]]), 2),
+                    (lambda: solve_scalar(k2, m, np.zeros(3)), 2),
+                    (lambda: solve_system(k2, s, np.zeros(2), np.zeros(3)), 4)):
+        with pytest.raises(ValueError, match=f"each seed must have length {n}"):
+            call()
+
+
 def test_enumerate_unique_root(k2):
     m = ScalarModel(lam=1.0, f=np.zeros(2))
     roots = enumerate_report(k2, m, box=(-3.0, 3.0), grid_n=61).roots

@@ -397,7 +397,10 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
-    for s in sigma_grid:  # before the bound record: a config error emits nothing
+    # checked before the bound record: a config error emits nothing
+    if not sigma_grid:
+        raise ConfigError("sigma_grid must hold at least one sigma")
+    for s in sigma_grid:
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"sigma_grid values must lie in [0, 1], got {s}")
     bound = _system_bound(g, model, section)

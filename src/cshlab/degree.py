@@ -241,14 +241,18 @@ def homotopy_audit(
     radius: float,
     opts: SolveOptions | None = None,
 ) -> HomotopyAudit:
-    """Enumerate each sigma slice and check the homotopy-invariance facts."""
+    """Enumerate each sigma slice and check the homotopy-invariance facts;
+    an empty ``sigma_grid`` raises ``ValueError`` (no slice, no degree)."""
     if average(g, model.f) <= 0.0 or average(g, model.g) <= 0.0:
         raise ValueError("homotopy audit requires mean(f) > 0 and mean(g) > 0")
+    sigma_grid = [float(sigma) for sigma in sigma_grid]
+    if not sigma_grid:
+        raise ValueError("homotopy audit needs at least one sigma")
     opts = opts or SolveOptions()
     slices = []
     violation = False
     for sigma in sigma_grid:
-        m = dataclasses.replace(model, sigma=float(sigma))
+        m = dataclasses.replace(model, sigma=sigma)
         enum = enumerate_report(g, m, box=(-radius, radius), opts=opts)
         inside = [r for r in enum.roots if _ball_norm(m, r.point) < radius]
         if len(inside) != len(enum.roots):
@@ -260,7 +264,7 @@ def homotopy_audit(
                 violation = True
         slices.append(
             HomotopySlice(
-                sigma=float(sigma),
+                sigma=sigma,
                 degree=int(sum(r.sign_det for r in inside)),
                 roots=inside,
                 min_margin=margin,

@@ -30,14 +30,16 @@ Jacobian makes it fail, the sign of the LU determinant picks out the singular
 rows, the rest are solved in one stacked call again and only the singular
 rows take a least-squares step: one ``lstsq`` call per distinct singular
 Jacobian, with the right-hand sides of the rows sharing it as columns.
-The backtracking ladder 1, d, d^2, ... >= 1e-12 (d = 0.5, built once at
-import; Armijo constant 1e-4) is tested in blocks of 1, 1, 2, 4, ...
-step lengths, each block one stacked residual call over the rows still
-searching; every row accepts the first step length of the ladder that passes
-the Armijo test, as a one-at-a-time search would, and no block holds more
-trial rows than the full-step round.  A residual call gives rows outside
-the exp guard an infinite residual; a stack wholly inside it is evaluated
-without the mask.  Converged rows then take up to six
+The line search is safeguarded quadratic backtracking (Dennis and Schnabel,
+*Numerical Methods for Unconstrained Optimization and Nonlinear Equations*,
+Alg. A6.3.1): each row tries t = 1 first, accepts the first t that passes
+the Armijo test (constant 1e-4) on the residual's sup norm, moves a failed
+t to the minimizer of a quadratic fit kept within [0.1 t, 0.5 t], and
+stalls when its next t falls below 1e-12.  The rows still searching share
+one stacked residual call per round (on the seed-0 system_homotopy
+benchmark pass, 6.56 M trial rows for 1.56 M Newton step rows).  A
+residual call gives rows outside the exp guard an infinite residual; a
+stack wholly inside it is evaluated without the mask.  Converged rows then take up to six
 full polish steps while the residual drops.  Row sup norms fold the short last axis
 column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
 its converged rows into the known roots with one greedy sup-norm dedup pass
@@ -314,8 +316,8 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     call.  The singular rows take a least-squares step: rows whose
     Jacobians are equal byte for byte (so -0.0 and 0.0 differ) share one
     ``lstsq`` call, their right-hand sides stacked as its columns.  On the
-    seed-0 system_homotopy benchmark pass LU met a zero pivot 201 times, and
-    76,432 singular rows took 35,827 calls: 31,169 for one row, at most 5,504.
+    seed-0 system_homotopy benchmark pass LU met a zero pivot 199 times, and
+    53,590 singular rows took 35,631 calls: 30,872 for one row, at most 1,171.
     With OpenBLAS 0.3.31 each column equals a one-column call bit for bit for
     Jacobians up to 7x7; from 8x8 on, random right-hand sides were seen to
     differ in the last bits (below 1e-14 relative).
@@ -350,11 +352,8 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
 # row status codes
 _RUNNING, _CONVERGED, _STALLED, _DIVERGED, _EXHAUSTED = 0, 1, 2, 3, 4
 
-# Newton line search: backtracking factor d, Armijo decrease constant and
-# the step lengths 1, d, ..., d^39 = 1.8e-12, the last one >= 1e-12 (powers
-# of 1/2 are exact, so each equals the one a shrink-per-round loop reaches)
-_DAMPING, _ARMIJO = 0.5, 1e-4
-_LADDER = _DAMPING ** np.arange(40)
+# Armijo sufficient-decrease constant of the Newton line search
+_ARMIJO = 1e-4
 # full Newton steps taken after convergence while the residual drops
 _POLISH_STEPS = 6
 
@@ -409,34 +408,24 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
             break
         steps, bad = _newton_steps(problem, X[act], F[act])
         status[act[bad]] = _DIVERGED
-        live = act[~bad]
-        if live.size == 0:
-            continue
-        steps = steps[~bad]
-
-        # test the ladder in blocks of 1, 1, 2, 4, ... step lengths; a block
-        # holds at most live.size trial rows, as many as the full-step round
-        base = X[live]
-        base_norm = nF[live]
-        rows = np.arange(live.size)  # rows of live still searching
-        pos = 0
-        while rows.size and pos < _LADDER.size:
-            width = min(max(pos, 1), live.size // rows.size, _LADDER.size - pos)
-            t = _LADDER[pos:pos + width]
-            trial = base[rows, None] + t[:, None] * steps[rows, None]
-            Ft = _residual_rows(problem, trial.reshape(-1, X.shape[1])).reshape(trial.shape)
+        # a failed t moves to the minimizer of the quadratic through phi(0),
+        # slope -phi(0) and phi(t), clipped to [0.1 t, 0.5 t] (an infinite
+        # phi(t) gives 0.1 t); only an accepted trial writes X, F and nF, so
+        # rows still searching keep their base values there
+        rows, steps = act[~bad], steps[~bad]
+        t = np.ones(rows.size)
+        while rows.size:
+            trial = X[rows] + t[:, None] * steps
+            Ft = _residual_rows(problem, trial)
             nFt = _norms(Ft)
-            ok = nFt <= (1.0 - _ARMIJO * t) * base_norm[rows, None]
-            found = ok.any(axis=1)
-            hit = np.nonzero(found)[0]
-            first = ok[hit].argmax(axis=1)  # each row's first passing step
-            gi = live[rows[hit]]
-            X[gi] = trial[hit, first]
-            F[gi] = Ft[hit, first]
-            nF[gi] = nFt[hit, first]
-            rows = rows[~found]
-            pos += width
-        status[live[rows]] = _STALLED
+            phi0 = nF[rows]
+            ok = nFt <= (1.0 - _ARMIJO * t) * phi0
+            X[rows[ok]], F[rows[ok]], nF[rows[ok]] = trial[ok], Ft[ok], nFt[ok]
+            rows, steps, t, phi0, phi = rows[~ok], steps[~ok], t[~ok], phi0[~ok], nFt[~ok]
+            t = np.clip(0.5 * phi0 * t * t / (phi - phi0 + phi0 * t), 0.1 * t, 0.5 * t)
+            go = t >= 1e-12
+            status[rows[~go]] = _STALLED
+            rows, steps, t = rows[go], steps[go], t[go]
     status[(status == _RUNNING) & (nF <= opts.tol_residual)] = _CONVERGED
     status[status == _RUNNING] = _EXHAUSTED
 

@@ -44,3 +44,7 @@ def test_traced_case_reaches_every_guarded_counter(workload):
     assert case.check(answer) == []
     metrics = tracing.layer_metrics(tracer)
     assert [k for k in run.EXPECT_NONZERO[workload] if not metrics[k]] == []
+    if workload == "system_homotopy":
+        # the line search's cost: trial residual rows per Jacobian row (the
+        # quadratic backtracking reads 2.80 here, halving t each round 7.28)
+        assert metrics["system.residual_pair.rows"] <= 4 * metrics["system.jacobian_system.rows"]

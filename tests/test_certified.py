@@ -11,6 +11,7 @@ the arithmetic is the same, within rounding where the kernel takes products
 in midpoint-radius form.
 """
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from cshlab import (
     cycle_graph,
     degree_by_enumeration,
     enumerate_report,
+    estimate_threshold,
     path_graph,
 )
 import cshlab.solve as solve_mod
@@ -84,6 +86,42 @@ def test_certified_degree_matches_grid(name, lam, fbar, jitter):
     assert cert.computed_degree == sum(r.sign_det for r in roots) == cert.expected_degree
     assert cert.morse_sum == sum((-1) ** r.morse_index for r in roots if r.nondegenerate)
     _assert_same_roots(cert.roots, roots)
+
+
+def test_certified_polish_never_backtracks(monkeypatch):
+    # every Newton or polish step of a certified run accepts the full step
+    # in its first residual round, so a change to the line search's
+    # backtracking cannot move a certified root, degree or threshold
+    calls = []
+    real_rows, real_steps, real_chunk = (solve_mod._residual_rows, solve_mod._newton_steps,
+                                         solve_mod._newton_chunk)
+
+    def rows_spy(problem, X):
+        calls.append("r")
+        return real_rows(problem, X)
+
+    def steps_spy(problem, X, F):
+        calls.append("s")
+        return real_steps(problem, X, F)
+
+    def chunk_spy(problem, X, opts):
+        calls.append("C")
+        return real_chunk(problem, X, opts)
+
+    monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
+    monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
+    monkeypatch.setattr(solve_mod, "_newton_chunk", chunk_spy)
+    for name in ("P3", "C4", "K5"):
+        g = GRAPHS[name]
+        assert degree_by_enumeration(g, ScalarModel(lam=-10.0, f=np.ones(g.ell))).enumeration.certified
+    est = estimate_threshold(GRAPHS["K2"], np.full(2, -1.0), "strict_min_neg",
+                             bracket=(-5.0, -3.0), tol=1e-4)
+    assert est.consistent and est.lo <= -4.0 <= est.hi
+    # a chunk opens with its base residual; each step is followed by
+    # exactly one residual round (other residual calls come before a chunk)
+    trace = "".join(calls)
+    assert trace.count("s") > 100
+    assert re.fullmatch(r"(?:r*Cr(?:sr)*)+", trace), trace
 
 
 @pytest.mark.parametrize("g,m", [

@@ -299,6 +299,8 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         # checked before the system_bound record, so nothing reaches stdout
         *(("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [sg]}},
            "sigma_grid values must lie in [0, 1]") for sg in (float("nan"), 1.5, -0.25)),
+        ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": []}},
+         "sigma_grid must hold at least one sigma"),
         ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
         ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
         ("solve", scalar, {"source": {"f": {"dirac": 3}}}, "dirac takes an object"),

@@ -221,3 +221,10 @@ def test_homotopy_audit_requires_positive_means(k2):
     neg = dataclasses.replace(s, f=-s.f)
     with pytest.raises(ValueError, match="mean"):
         homotopy_audit(k2, neg, [1.0], radius=1.0)
+
+
+def test_homotopy_audit_rejects_an_empty_sigma_grid(k2):
+    # zero slices would claim a constant degree
+    s, _, _ = manufactured_system(k2)
+    with pytest.raises(ValueError, match="at least one sigma"):
+        homotopy_audit(k2, s, [], radius=12.0)

@@ -674,15 +674,16 @@ def test_critical_group_ranks_follow_morse_data(k2):
 
 
 def _newton_batch_sequential(problem, seeds, opts, stats):
-    # the Newton driver with the original one-step-per-round line search,
-    # kept as the reference; ``stats`` records what the line search met
+    # the Newton driver with the line search run one row at a time in plain
+    # floats, kept as the reference for the batched quadratic backtracking;
+    # ``stats`` records what the line search met.  Residuals go through
+    # ``solve_mod._residual_rows``, so a spy sees every point evaluated.
     X = np.array(seeds, dtype=float)
     N = len(X)
-    F = _residual_rows(problem, X)
+    F = solve_mod._residual_rows(problem, X)
     nF = _norms(F)
     status = np.full(N, solve_mod._RUNNING, dtype=np.int8)
     status[~np.isfinite(nF)] = solve_mod._DIVERGED
-    tmin = 1e-12
     check_every, check_norm = 8, nF.copy()
     running_code, conv_code = solve_mod._RUNNING, solve_mod._CONVERGED
     for it in range(opts.max_iter):
@@ -698,33 +699,25 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
         steps, bad = _newton_steps(problem, X[act], F[act])
         status[act[bad]] = solve_mod._DIVERGED
         live = act[~bad]
-        if live.size == 0:
-            continue
         steps = steps[~bad]
-        t = np.ones(live.size)
-        pending = np.ones(live.size, dtype=bool)
-        base = X[live]
-        base_norm = nF[live]
-        while pending.any():
-            rows = np.nonzero(pending)[0]
-            trial = base[rows] + t[rows, None] * steps[rows]
-            stats["guard_exits"] += int((np.abs(trial).max(axis=-1) > EXP_GUARD).sum())
-            Ft = _residual_rows(problem, trial)
-            nFt = _norms(Ft)
-            ok = nFt <= (1.0 - solve_mod._ARMIJO * t[rows]) * base_norm[rows]
-            good = rows[ok]
-            stats["accepted_t"].update(t[good].tolist())
-            gi = live[good]
-            X[gi] = trial[ok]
-            F[gi] = Ft[ok]
-            nF[gi] = nFt[ok]
-            pending[good] = False
-            shrink = rows[~ok]
-            t[shrink] *= solve_mod._DAMPING
-            dead = shrink[t[shrink] < tmin]
-            stats["ladder_stalls"] += dead.size
-            status[live[dead]] = solve_mod._STALLED
-            pending[dead] = False
+        for row, step in zip(live, steps):
+            base, phi0, t = X[row].copy(), float(nF[row]), 1.0
+            while True:
+                trial = base + t * step
+                stats["guard_exits"] += int(np.abs(trial).max() > EXP_GUARD)
+                Ft = solve_mod._residual_rows(problem, trial[None])[0]
+                phi = float(_norms(Ft[None])[0])
+                if phi <= (1.0 - 1e-4 * t) * phi0:
+                    stats["accepted_t"].add(t)
+                    X[row], F[row], nF[row] = trial, Ft, phi
+                    break
+                # minimizer of the quadratic through phi0, slope -phi0 and phi
+                tq = 0.5 * phi0 * t * t / (phi - phi0 + phi0 * t)
+                t = min(max(tq, 0.1 * t), 0.5 * t)
+                if t < 1e-12:
+                    stats["stalls"] += 1
+                    status[row] = solve_mod._STALLED
+                    break
     status[(status == running_code) & (nF <= opts.tol_residual)] = conv_code
     status[status == running_code] = solve_mod._EXHAUSTED
     conv = np.nonzero(status == conv_code)[0]
@@ -733,7 +726,7 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
             break
         steps, bad = _newton_steps(problem, X[conv], F[conv])
         trial = X[conv] + steps
-        Ft = _residual_rows(problem, trial)
+        Ft = solve_mod._residual_rows(problem, trial)
         nFt = _norms(Ft)
         better = ~bad & (nFt < nF[conv])
         gi = conv[better]
@@ -749,11 +742,11 @@ def _squash_problem():
     # arithmetic, so a row's residual bits do not depend on its batch.  Full
     # Newton steps overshoot far from 0 (depth grows with |x|, and long
     # steps leave the exp guard).  Rows with 40 < x1 < 41 get the Jacobian's
-    # sign flipped: their step is an ascent direction and no step length of
-    # the ladder passes the Armijo test.  Rows at x1 = 0.5 get a Jacobian
-    # 1.5e-12 times too small: only the last step length, 2**-39, passes;
-    # at x1 = -0.5 the factor is 0.75e-12 and only 2**-40, past the ladder's
-    # end, would pass.
+    # sign flipped: their step is an ascent direction and no step length
+    # passes the Armijo test.  Rows at x1 = 0.5 get a Jacobian 1.5e-11 times
+    # too small: only step lengths up to 2e-11 pass, and backtracking reaches
+    # one near 1e-11; at x1 = -0.5 the factor is 0.75e-12 and only lengths
+    # up to 1e-12, below the stall floor, would pass.
     def res(X):
         return X / (1.0 + np.abs(X))
 
@@ -761,7 +754,7 @@ def _squash_problem():
         d = 1.0 / ((1.0 + np.abs(X)) * (1.0 + np.abs(X)))
         flip = (X[:, 1] > 40.0) & (X[:, 1] < 41.0)
         d[flip] = -d[flip]
-        d[X[:, 1] == 0.5] *= 1.5e-12
+        d[X[:, 1] == 0.5] *= 1.5e-11
         d[X[:, 1] == -0.5] *= 0.75e-12
         J = np.zeros(X.shape + (2,))
         J[:, 0, 0], J[:, 1, 1] = d[:, 0], d[:, 1]
@@ -772,9 +765,11 @@ def _squash_problem():
 
 
 def _squash_seeds(seed):
-    # 138 rows that reach every branch of the line search on _squash_problem
+    # 138 rows that reach every branch of the line search on _squash_problem;
+    # a near row with 1 < |x| < 2 fails its full step by little, so the
+    # quadratic's minimizer lies near 0.5 t and the upper clip acts
     rng = np.random.default_rng(seed)
-    near = rng.uniform(-1.0, 1.0, size=(60, 2))
+    near = rng.uniform(-2.0, 2.0, size=(60, 2))
     far = rng.choice([-1.0, 1.0], size=(60, 2)) * 10.0 ** rng.uniform(0.3, 2.7, size=(60, 2))
     ascent = np.column_stack([rng.uniform(-0.5, 0.5, 12), np.full(12, 40.5)])
     last_rung = np.array([[0.1, 0.5], [-0.2, 0.5], [0.1, -0.5]])
@@ -782,24 +777,16 @@ def _squash_seeds(seed):
     return seeds[rng.permutation(len(seeds))]
 
 
-def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
-    seeds = _squash_seeds(11)
-    problem, opts = _squash_problem(), SolveOptions()
-
-    stats = {"accepted_t": set(), "ladder_stalls": 0, "guard_exits": 0}
-    expected = _newton_batch_sequential(problem, seeds, opts, stats)
-    # the inputs reach every branch of the line search
-    assert 1.0 in stats["accepted_t"] and len(stats["accepted_t"]) >= 6
-    assert min(stats["accepted_t"]) == 0.5 ** 39
-    assert stats["ladder_stalls"] >= 13 and stats["guard_exits"] > 0
-
-    # record each residual batch; a Newton step opens with its full-step
-    # round, and no later block of that step may hold more rows
-    calls = []
+def test_batched_line_search_matches_row_by_row_backtracking(monkeypatch):
+    # record each residual batch and every point it evaluates; a Newton step
+    # opens with its full-step round, and no later round of that step may
+    # hold more rows
+    calls, points = [], []
     real_rows, real_steps = solve_mod._residual_rows, solve_mod._newton_steps
 
     def rows_spy(problem, X):
         calls.append(("rows", len(X)))
+        points.extend(row.tobytes() for row in X)
         return real_rows(problem, X)
 
     def steps_spy(problem, X, F):
@@ -808,10 +795,26 @@ def test_blocked_line_search_matches_sequential_ladder(monkeypatch):
 
     monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
     monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
+    seeds = _squash_seeds(11)
+    problem, opts = _squash_problem(), SolveOptions()
+
+    stats = {"accepted_t": set(), "stalls": 0, "guard_exits": 0}
+    expected = _newton_batch_sequential(problem, seeds, opts, stats)
+    # the inputs reach every branch of the line search, and no accepted step
+    # length lies below the stall floor
+    assert 1.0 in stats["accepted_t"] and len(stats["accepted_t"]) >= 6
+    assert 1e-12 <= min(stats["accepted_t"]) < 1e-9
+    assert stats["stalls"] >= 13 and stats["guard_exits"] > 0
+    expected_points = sorted(points)
+
+    calls.clear()
+    points.clear()
     got = _newton_batch(problem, seeds, opts)
     assert len(got) == len(expected) == 3
     for name, a, b in zip(("X", "nF", "status"), got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # every trial step length, not only the outcome, is the reference's
+    assert sorted(points) == expected_points
 
     full_round = None
     for kind, size in calls:

@@ -184,8 +184,8 @@ def _build_model(g: WeightedGraph, cfg: dict):
                 sigma=_finite(params.get("sigma", 1.0), "sigma"),
             )
         return SystemModel(
-            p=_number(params.get("p", 0.5), "p"),
-            q=_number(params.get("q", 0.5), "q"),
+            p=_finite(params.get("p", 0.5), "p"),
+            q=_finite(params.get("q", 0.5), "q"),
             f=_source_values(g, source.get("f"), "f"),
             g=_source_values(g, source.get("g"), "g"),
             sigma=_finite(params.get("sigma", 1.0), "sigma"),
@@ -369,12 +369,13 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
         raise ConfigError("sweep is defined for the scalar model")
     if "range" not in section:
         raise ConfigError("sweep needs a 'range': [lambda_from, lambda_to]")
-    span = _numbers(section["range"], "sweep range")
-    if len(span) != 2:
-        raise ConfigError(f"sweep range must be [lambda_from, lambda_to], got {span}")
+    span = section["range"]
+    if not isinstance(span, list) or len(span) != 2:
+        raise ConfigError(f"sweep range must be [lambda_from, lambda_to], got {span!r}")
+    span = tuple(_finite(x, "sweep range") for x in span)
     steps = _count(section.get("steps", 11), "steps")
     records = sweep_lambda(
-        g, model.f, tuple(span), steps, opts=opts,
+        g, model.f, span, steps, opts=opts,
         p=model.p, sigma=model.sigma, box=_box(section),
     )
     buf = io.StringIO()

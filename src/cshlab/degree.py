@@ -260,8 +260,6 @@ def homotopy_audit(
         margin = None
         if inside:
             margin = float(min(radius - _ball_norm(m, r.point) for r in inside))
-            if margin <= 0.0:
-                violation = True
         slices.append(
             HomotopySlice(
                 sigma=sigma,

@@ -153,8 +153,6 @@ def build_graph(
                 raise GraphError(f"edge ({a!r}, {b!r}) listed twice with inconsistent weights")
             raise GraphError(f"edge ({a!r}, {b!r}) listed twice")
         W[i, j] = W[j, i] = w
-    if not np.array_equal(W, W.T):
-        raise GraphError("weights are not symmetric")
 
     if not _connected(W):
         raise GraphError("graph is not connected")
@@ -197,10 +195,20 @@ def _connected(W: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # wire format: {"vertices": [{"id", "mu"}...], "edges": [{"a", "b", "w"}...]}
 
+def _wire_number(value, where: str):
+    """A JSON number of the wire format; GraphError for null, a bool, a string or a list."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphError(f"{where} must be a number, got {value!r}")
+    return value
+
+
 def graph_from_dict(doc: dict) -> WeightedGraph:
     try:
-        vertices = [(item["id"], item["mu"]) for item in doc["vertices"]]
-        edges = [(item["a"], item["b"], item["w"]) for item in doc["edges"]]
+        vertices = [(v["id"], _wire_number(v["mu"], f"vertex {str(v['id'])!r} mu"))
+                    for v in doc["vertices"]]
+        edges = [(e["a"], e["b"],
+                  _wire_number(e["w"], f"edge ({str(e['a'])!r}, {str(e['b'])!r}) w"))
+                 for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph document: {exc!r}") from None
     return build_graph(vertices, edges)

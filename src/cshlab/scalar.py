@@ -19,6 +19,8 @@ Everything here is a pure function of immutable inputs; ``residual``,
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +68,10 @@ class ScalarModel:
     def __post_init__(self):
         if not np.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
-        object.__setattr__(self, "p", int(self.p))
+        p = self.p
+        if not (isinstance(p, numbers.Real) and math.isfinite(p) and int(p) == p and p >= 1):
+            raise ValueError(f"p must be a positive integer, got {p!r}")
+        object.__setattr__(self, "p", int(p))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
         f = np.ascontiguousarray(self.f, dtype=float)

@@ -27,9 +27,11 @@ entries (2 MiB of float64) each, one chunk after the other, so memory grows
 with the seed count as O(seeds n), not O(seeds n^2).
 Each Newton step is one stacked linear solve per chunk; when a singular
 Jacobian makes it fail, the sign of the LU determinant picks out the singular
-rows, the rest are solved in one stacked call again and only the singular
-rows take a least-squares step: one ``lstsq`` call per distinct singular
-Jacobian, with the right-hand sides of the rows sharing it as columns.
+rows, the rest are solved in one stacked call again and each singular row
+takes its own least-squares step, one ``lstsq`` call per row (53,590 calls
+on the seed-0 system_homotopy benchmark pass).  A row's step thus depends on
+its own row alone; only the residual's matrix product, in its last bits,
+couples the rows of a batch.
 The line search is safeguarded quadratic backtracking (Dennis and Schnabel,
 *Numerical Methods for Unconstrained Optimization and Nonlinear Equations*,
 Alg. A6.3.1): each row tries t = 1 first, accepts the first t that passes
@@ -291,20 +293,6 @@ def _norms(F: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(nF), nF, np.inf)
 
 
-def _equal_row_runs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic row order of a 2-D array and its runs of equal rows.
-
-    Returns ``(order, starts)``: ``A[order]`` is sorted, and its k-th run of
-    equal rows is ``A[order[starts[k]:starts[k + 1]]]``; ``starts`` ends with
-    ``len(A)``.  Within a run, rows keep their input order.
-    """
-    order = np.lexsort(A.T[::-1])
-    s = A[order]
-    new = np.ones(len(A), dtype=bool)
-    new[1:] = np.any(s[1:] != s[:-1], axis=1)
-    return order, np.append(np.flatnonzero(new), len(A))
-
-
 def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     """Stacked solve of J step = -F, with least squares for singular rows only.
 
@@ -313,14 +301,11 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     If a singular row makes it raise, one batched ``slogdet`` marks the rows
     whose LU has a zero pivot (sign 0: the same ``getrf`` factorization that
     makes ``solve`` reject a row) and the other rows are solved in one stacked
-    call.  The singular rows take a least-squares step: rows whose
-    Jacobians are equal byte for byte (so -0.0 and 0.0 differ) share one
-    ``lstsq`` call, their right-hand sides stacked as its columns.  On the
-    seed-0 system_homotopy benchmark pass LU met a zero pivot 199 times, and
-    53,590 singular rows took 35,631 calls: 30,872 for one row, at most 1,171.
-    With OpenBLAS 0.3.31 each column equals a one-column call bit for bit for
-    Jacobians up to 7x7; from 8x8 on, random right-hand sides were seen to
-    differ in the last bits (below 1e-14 relative).
+    call.  Each singular row takes a least-squares step from its own
+    ``lstsq`` call with a 1-D right-hand side, so its step does not depend
+    on the other rows of the stack.  On the seed-0 system_homotopy benchmark
+    pass LU met a zero pivot 199 times, and the 53,590 singular rows took
+    53,590 calls.
     """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
@@ -338,12 +323,8 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
             regular = ~singular
             if regular.any():
                 steps[idx[regular]] = np.linalg.solve(J[regular], rhs[regular])[..., 0]
-            sing = np.flatnonzero(singular)
-            # the int64 view groups rows on the bytes of their Jacobians
-            order, starts = _equal_row_runs(J[sing].reshape(sing.size, -1).view(np.int64))
-            for a, b in zip(starts[:-1], starts[1:]):
-                rows = sing[order[a:b]]
-                steps[idx[rows]] = np.linalg.lstsq(J[rows[0]], rhs[rows, :, 0].T, rcond=None)[0].T
+            for r in np.flatnonzero(singular):
+                steps[idx[r]] = np.linalg.lstsq(J[r], rhs[r, :, 0], rcond=None)[0]
     bad = ~np.isfinite(sup_norm(steps))
     steps[bad] = 0.0
     return steps, bad
@@ -375,7 +356,7 @@ def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
     other, so the (rows, n, n) Jacobian stack and its copies stay within a
     fixed budget and memory grows as O(N n), not O(N n^2).  A row's outcome
     does not depend on the other rows of its chunk, except through the last
-    bits of the residual's matrix product and of a grouped ``lstsq`` call.
+    bits of the residual's matrix product.
     """
     X = np.array(seeds, dtype=float)
     rows = max(1, _CHUNK_ENTRIES // X.shape[1] ** 2)

@@ -25,6 +25,8 @@ that is symmetric in the mu-weighted product and feeds Morse classification.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,8 @@ __all__ = [
 
 
 def _half_integer(x: float, name: str) -> float:
+    if not (isinstance(x, numbers.Real) and math.isfinite(x)):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
     k = round(2.0 * x)
     if abs(2.0 * x - k) > 1e-9 or k < 1 or k % 2 == 0:
         raise ValueError(f"{name} must be a half-integer 1/2, 3/2, 5/2, ... (got {x})")

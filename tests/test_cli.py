@@ -293,6 +293,12 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("enumerate", system, {"enumerate": {"box": [[-3.0, -3.0, -3.0, float("-inf")], 3.0]}},
          "box must be finite"),
         ("enumerate", scalar, {"parameters": {"lambda": float("nan")}}, "lambda must be finite"),
+        # a non-finite power or sweep end is refused where it is read, not by
+        # an OverflowError traceback or after numpy warnings
+        ("system", system, {"parameters": {"p": float("inf"), "q": 0.5}}, "p must be finite"),
+        ("system", system, {"parameters": {"p": 0.5, "q": float("-inf")}}, "q must be finite"),
+        ("sweep", scalar, {"sweep": {**sweep, "range": [float("-inf"), -5.0]}},
+         "sweep range must be finite, got -inf"),
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
         ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
          "sigma_grid must be a number"),
@@ -386,6 +392,26 @@ def test_grid_key_is_refused_in_every_section(tmp_path, k2_path, capsys):
     assert main(["degree", "--graph", k2_path, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "takes no 'grid'" in captured.err
+
+
+@pytest.mark.parametrize("vertex_mu, edge_w, message", [
+    (None, 1.0, "vertex 'x1' mu must be a number, got None"),
+    (True, 1.0, "vertex 'x1' mu must be a number, got True"),
+    (1.0, [1], "edge ('x1', 'x2') w must be a number, got [1]"),
+    (1.0, "2", "edge ('x1', 'x2') w must be a number, got '2'"),
+])
+def test_graph_numbers_that_are_no_json_numbers_exit_2(tmp_path, capsys, vertex_mu, edge_w,
+                                                        message):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "x1", "mu": vertex_mu}, {"id": "x2", "mu": 1.0}],
+        "edges": [{"a": "x1", "b": "x2", "w": edge_w}],
+    }))
+    cfg = _write_config(tmp_path, {"model": "scalar", "parameters": {"lambda": -10.0},
+                                   "source": {"f": {"constant": 1.0}}})
+    assert main(["enumerate", "--graph", str(graph), "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err, captured.err
 
 
 def test_solver_failure_exit_code(tmp_path, k2_path, capsys):

@@ -198,6 +198,29 @@ def test_wire_format_rejects_duplicate_edges(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mu", None, "vertex 'a' mu must be a number, got None"),
+    ("mu", True, "vertex 'a' mu must be a number, got True"),
+    ("mu", "1", "vertex 'a' mu must be a number, got '1'"),
+    ("w", None, "edge ('a', 'b') w must be a number, got None"),
+    ("w", False, "edge ('a', 'b') w must be a number, got False"),
+    ("w", "2", "edge ('a', 'b') w must be a number, got '2'"),
+    ("w", [1], "edge ('a', 'b') w must be a number, got [1]"),
+])
+def test_wire_format_numbers_must_be_json_numbers(field, value, message):
+    # null, bools, strings and lists are refused, not read as 1.0 or 2.0
+    doc = {
+        "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 2}],
+        "edges": [{"a": "a", "b": "b", "w": 1}],
+    }
+    assert graph_from_dict(doc).mu.tolist() == [1.0, 2.0]
+    target = doc["vertices"][0] if field == "mu" else doc["edges"][0]
+    target[field] = value
+    with pytest.raises(GraphError) as info:
+        graph_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_graph_to_dict_lists_each_edge_once(c4):
     doc = graph_to_dict(c4)
     assert len(doc["edges"]) == 4

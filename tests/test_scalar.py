@@ -32,6 +32,11 @@ def test_model_validation(k2):
     for lam in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="lam must be finite"):
             ScalarModel(lam=lam, f=np.ones(2))
+    # a non-finite power is a ValueError naming it, not an OverflowError,
+    # and a string is no power
+    for p in (np.inf, -np.inf, np.nan, "2"):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            ScalarModel(lam=1.0, f=np.ones(2), p=p)
 
 
 def test_residual_zero_at_origin(k2):

@@ -447,10 +447,9 @@ def test_newton_steps_all_singular_stack(k2):
         assert steps[k].tobytes() == np.linalg.lstsq(J[k], -F[k], rcond=None)[0].tobytes()
 
 
-def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
+def test_newton_steps_one_lstsq_call_per_singular_row(monkeypatch):
     # P3's -Laplacian: copies of it, of twice it, and of a copy whose zero
-    # corner is -0.0 (equal values, other bytes), among regular and
-    # non-finite rows
+    # corner is -0.0, among regular and non-finite rows
     negL = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
     signed_zero = negL.copy()
     signed_zero[0, 2] = -0.0
@@ -476,14 +475,13 @@ def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
         steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F)
 
     kinds = np.array(kinds)
-    singular = np.isin(kinds, ["negL", "twice", "signed_zero"])
+    singular = np.flatnonzero(np.isin(kinds, ["negL", "twice", "signed_zero"]))
     np.testing.assert_array_equal(bad, kinds == "nonfinite")
-    # one call per distinct matrix, its columns the right-hand sides of its rows
-    assert sorted(a.tobytes() for a, _ in calls) == sorted(
-        mats[k].tobytes() for k in ("negL", "twice", "signed_zero"))
-    for a, b in calls:
-        rows = [k for k in range(len(kinds)) if singular[k] and J[k].tobytes() == a.tobytes()]
-        assert b.shape == (3, len(rows))
+    # one call per singular row, in row order, with that row's 1-D right-hand side
+    assert len(calls) == singular.size
+    for (a, b), k in zip(calls, singular):
+        assert a.tobytes() == J[k].tobytes()
+        assert b.shape == (3,) and b.tobytes() == (-F[k]).tobytes()
     for k, kind in enumerate(kinds):
         if kind == "regular":
             expected = np.linalg.solve(J[k], -F[k])
@@ -492,6 +490,21 @@ def test_newton_steps_one_lstsq_call_per_distinct_singular_matrix(monkeypatch):
         else:
             expected = real_lstsq(J[k], -F[k], rcond=None)[0]
         assert steps[k].tobytes() == expected.tobytes(), (k, kind)
+
+
+def test_newton_steps_singular_row_ignores_rows_sharing_its_jacobian():
+    # a 10x10 matrix with a zero last row, so LU meets an exactly zero pivot,
+    # shared by six rows: each row's least-squares step is that of its own
+    # one-row lstsq, whatever other rows hold the same Jacobian
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(10, 10))
+    A[-1] = 0.0
+    J = np.stack([A] * 6)
+    F = rng.normal(size=(6, 10))
+    steps, bad = _newton_steps(_stack_problem(J), np.zeros_like(F), F)
+    assert not bad.any()
+    for k in range(6):
+        assert steps[k].tobytes() == np.linalg.lstsq(A, -F[k], rcond=None)[0].tobytes(), k
 
 
 @pytest.mark.parametrize("f", [1.0, -1.0])
@@ -509,21 +522,6 @@ def test_seeds_used_is_the_sum_of_the_seed_families(k2, f):
     base = grid_n ** 2 + grid_n ** 2 + anchors
     refined = (2 * grid_n - 1) ** 2 + anchors
     assert rep.seeds_used == base + refined
-
-
-def test_seed_dedup_matches_np_unique_on_repeated_rows():
-    rng = np.random.default_rng(5)
-    rows = rng.integers(-3, 4, size=(400, 3)) * 0.5
-    rows = np.vstack([rows, rows[::7], rng.normal(size=(50, 3)), rows[:3]])
-    order, starts = solve_mod._equal_row_runs(rows)
-    out = rows[order[starts[:-1]]]
-    expected = np.unique(rows, axis=0)
-    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
-    # each run holds equal rows, in input order
-    for a, b in zip(starts[:-1], starts[1:]):
-        run = order[a:b]
-        assert np.all(np.diff(run) > 0)
-        assert np.all(rows[run] == rows[run[0]])
 
 
 def _dedup_points_loop(points, norms, tol):

@@ -23,6 +23,13 @@ def test_model_validation(k2):
         SystemModel(p=0.5, q=-0.5, f=z, g=z)
     with pytest.raises(ValueError, match="sigma"):
         SystemModel(p=0.5, q=0.5, f=z, g=z, sigma=-0.1)
+    # a non-finite power is a ValueError naming it, not an OverflowError,
+    # and a string is no power
+    for value in (np.inf, -np.inf, np.nan, "0.5"):
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            SystemModel(p=value, q=0.5, f=z, g=z)
+        with pytest.raises(ValueError, match="q must be a finite number"):
+            SystemModel(p=0.5, q=value, f=z, g=z)
     s = SystemModel(p=1.5, q=2.5, f=z, g=z)
     assert (s.two_p, s.two_q) == (3, 5)
 

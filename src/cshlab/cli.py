@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .scalar import ScalarModel, residual
 from .solve import ClassifiedSolution, SolveOptions, enumerate_report, solve_scalar, solve_system
-from .system import SystemBound, SystemModel, apriori_bound_system
+from .system import SystemModel, apriori_bound_system
 
 __all__ = ["main"]
 
@@ -60,7 +60,6 @@ _TOP_KEYS = ("graph", "model", "parameters", "source", "tolerances",
 _PARAMETER_KEYS = {"scalar": ("lambda", "p", "sigma"), "system": ("p", "q", "sigma")}
 _SOURCE_KEYS = {"scalar": ("f",), "system": ("f", "g")}
 _SOLVE_KEYS = {"scalar": ("seed",), "system": ("seed", "seed_u", "seed_v")}
-_SYSTEM_KEYS = ("Lambda1", "Lambda2", "sigma_grid")
 
 
 def _object(value, name: str, keys=None) -> dict:
@@ -323,14 +322,10 @@ def cmd_enumerate(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_degree(g, model, cfg, opts, emit) -> int:
-    # without a system section, the system bound is read from this one
-    section = _section(cfg, "degree", ("radius", "Lambda1", "Lambda2"))
+    section = _section(cfg, "degree", ("radius",))
     radius = section.get("radius")
     if radius is not None:
         radius = _finite(radius, "radius")
-    elif isinstance(model, SystemModel):
-        system = _section(cfg, "system", _SYSTEM_KEYS) if "system" in cfg else section
-        radius = _system_bound(g, model, system).bound
     report = degree_by_enumeration(g, model, radius=radius, opts=opts)
     emit.emit(_degree_record(g, model, report))
     return 0
@@ -351,16 +346,6 @@ def _degree_record(g, model, report) -> dict:
     if report.perturbed is not None:
         rec["perturbed"] = _degree_record(g, model, report.perturbed)
     return rec
-
-
-def _system_bound(g, model, section: dict) -> SystemBound:
-    """The system's a priori bound from the section's ``Lambda1``/``Lambda2``."""
-    lam1 = section.get("Lambda1")
-    lam2 = section.get("Lambda2")
-    if lam1 is None or lam2 is None:
-        raise ConfigError("the system bound needs 'Lambda1' and 'Lambda2' "
-                          "(the degree command also takes a 'radius' instead)")
-    return apriori_bound_system(g, model, _number(lam1, "Lambda1"), _number(lam2, "Lambda2"))
 
 
 def cmd_sweep(g, model, cfg, opts, emit) -> int:
@@ -394,7 +379,7 @@ def cmd_sweep(g, model, cfg, opts, emit) -> int:
 
 
 def cmd_system(g, model, cfg, opts, emit) -> int:
-    section = _section(cfg, "system", _SYSTEM_KEYS)
+    section = _section(cfg, "system", ("sigma_grid",))
     if not isinstance(model, SystemModel):
         raise ConfigError("the system command needs a system model")
     sigma_grid = _numbers(section.get("sigma_grid", [0.0, 0.25, 0.5, 0.75, 1.0]), "sigma_grid")
@@ -404,7 +389,7 @@ def cmd_system(g, model, cfg, opts, emit) -> int:
     for s in sigma_grid:
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"sigma_grid values must lie in [0, 1], got {s}")
-    bound = _system_bound(g, model, section)
+    bound = apriori_bound_system(g, model)
     emit.emit({"kind": "system_bound", **dataclasses.asdict(bound)})
     audit = homotopy_audit(g, model, sigma_grid, bound.bound, opts=opts)
     emit.emit({

@@ -26,6 +26,7 @@ from .solve import (
     ClassifiedSolution,
     EnumerationReport,
     SolveOptions,
+    _warn_small_box,
     enumerate_report,
 )
 from .system import SystemModel
@@ -118,9 +119,8 @@ def degree_by_enumeration(
 
     The ball is searched as the box ``(-radius, radius)`` by
     :func:`~cshlab.solve.enumerate_report` with its default enumerator
-    (certified for a scalar model); without a radius it picks the box (the
-    a priori ball, else ``ValueError``: system models need the radius from
-    :func:`~cshlab.system.apriori_bound_system`).  A radius smaller than the
+    (certified for a scalar model); without a radius it picks the box, the
+    a priori ball of either model, else ``ValueError``.  A radius smaller than the
     a priori bound only earns its warning, since shrinking the ball is how
     one probes localization.  If degenerate roots poison the sign sum, the
     source is perturbed by a tiny mean-preserving random direction and the
@@ -241,40 +241,34 @@ def homotopy_audit(
     radius: float,
     opts: SolveOptions | None = None,
 ) -> HomotopyAudit:
-    """Enumerate each sigma slice and check the homotopy-invariance facts;
-    an empty ``sigma_grid`` raises ``ValueError`` (no slice, no degree)."""
+    """Enumerate each sigma slice over the box ``(-radius, radius)`` and check
+    the homotopy-invariance facts; an empty ``sigma_grid`` raises
+    ``ValueError`` (no slice, no degree).  Each slice's degree and roots are
+    summed over the ball as :func:`degree_by_enumeration` sums them.  The
+    system's a priori ball holds for every sigma, so a radius smaller than it
+    earns one warning per audit."""
     if average(g, model.f) <= 0.0 or average(g, model.g) <= 0.0:
         raise ValueError("homotopy audit requires mean(f) > 0 and mean(g) > 0")
     sigma_grid = [float(sigma) for sigma in sigma_grid]
     if not sigma_grid:
         raise ValueError("homotopy audit needs at least one sigma")
     opts = opts or SolveOptions()
+    radius = float(radius)
+    _warn_small_box(g, [model], (-radius, radius), 2)
     slices = []
-    violation = False
     for sigma in sigma_grid:
         m = dataclasses.replace(model, sigma=sigma)
-        enum = enumerate_report(g, m, box=(-radius, radius), opts=opts)
-        inside = [r for r in enum.roots if _ball_norm(m, r.point) < radius]
-        if len(inside) != len(enum.roots):
-            violation = True
-        margin = None
-        if inside:
-            margin = float(min(radius - _ball_norm(m, r.point) for r in inside))
-        slices.append(
-            HomotopySlice(
-                sigma=sigma,
-                degree=int(sum(r.sign_det for r in inside)),
-                roots=inside,
-                min_margin=margin,
-                enumeration=enum,
-            )
-        )
+        enum = enumerate_report(g, m, box=(-radius, radius), opts=opts, check_box=False)
+        report = _report_from_enumeration(m, radius, enum, None)
+        margin = min((radius - _ball_norm(m, r.point) for r in report.roots), default=None)
+        slices.append(HomotopySlice(sigma=sigma, degree=report.computed_degree,
+                                    roots=report.roots, min_margin=margin, enumeration=enum))
     degrees = {s.degree for s in slices}
     zero_slices = [s for s in slices if s.sigma == 0.0]
     return HomotopyAudit(
-        radius=float(radius),
+        radius=radius,
         slices=slices,
         degree_constant=len(degrees) <= 1,
         sigma_zero_empty=(not zero_slices[0].roots) if zero_slices else None,
-        bound_violation=violation,
+        bound_violation=any(len(s.roots) != len(s.enumeration.roots) for s in slices),
     )

@@ -66,6 +66,7 @@ class ScalarModel:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _refuse_bools(self, "lam", "p", "sigma")
         if not np.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
         p = self.p
@@ -119,6 +120,13 @@ class AprioriData:
     radius: float
 
 
+def _refuse_bools(model, *names: str) -> None:
+    """ValueError naming the first field of ``names`` holding a bool (Python reads True as 1)."""
+    for name in names:
+        if isinstance(getattr(model, name), (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {getattr(model, name)!r}")
+
+
 def _check_range(*arrays: np.ndarray) -> None:
     if any(np.abs(a).max(initial=0.0) > EXP_GUARD for a in arrays):
         raise OverflowGuardError(
@@ -154,14 +162,20 @@ def energy(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> float | np.ndarra
     """Energy whose critical points are the model's solutions."""
     u = as_vertex_function(g, u)
     _check_range(u)
+    out = _energy(g, m, u)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _energy(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> np.ndarray:
+    """:func:`energy` at the points u, unchecked and in u's dtype: a complex u gives
+    the complex-step derivative Im E(u + i h d) / h that the consistency check takes."""
     neg_lap = g.neg_laplacian_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         dirichlet = 0.5 * np.einsum("...i,...i->...", u @ neg_lap.T, u * g.mu)
         e = np.exp(u)
         pot = (m.lam / (2.0 * m.p)) * (_ipow(e - m.sigma, 2 * m.p) @ g.mu)
         src = (u * m.f) @ g.mu
-    out = dirichlet + pot + src
-    return float(out) if np.ndim(out) == 0 else out
+    return dirichlet + pot + src
 
 
 def jacobian(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> np.ndarray:

@@ -84,7 +84,13 @@ from .scalar import (
     jacobian as scalar_jacobian,
     residual as scalar_residual,
 )
-from .system import SystemModel, hessian_system, jacobian_system, residual_pair
+from .system import (
+    SystemModel,
+    apriori_bound_system,
+    hessian_system,
+    jacobian_system,
+    residual_pair,
+)
 
 __all__ = [
     "SolveOptions",
@@ -622,10 +628,10 @@ def enumerate_report(
 ) -> EnumerationReport:
     """Enumeration of all roots in a box: certified for the scalar model.
 
-    The one place that picks the search box, for every layer: the caller's
-    ``box``, else the a priori ball (-R, R), else ``ValueError`` (no bound:
-    system models, and scalar ones unless p = 1, sigma = 1, lam mean(f) != 0).
-    With ``check_box`` a box smaller than the ball earns a warning.
+    The one place that picks the search box, for every layer and both models:
+    the caller's ``box``, else the a priori ball (-R, R), else ``ValueError``
+    (no bound: see :func:`_apriori_radius_or_none`).  With ``check_box`` a box
+    smaller than the ball earns a warning.
 
     For a :class:`ScalarModel` without ``grid_n`` the box is searched by
     interval branch and prune (:func:`_branch_and_prune`), and every root
@@ -647,8 +653,9 @@ def enumerate_report(
     if box is None:
         radius = _apriori_radius_or_none(g, model)
         if radius is None:
-            raise ValueError("no a priori bound (it needs a scalar model with p = 1, sigma = 1 "
-                             "and lam * mean(f) != 0); pass box explicitly")
+            raise ValueError("no a priori bound (a scalar model needs p = 1, sigma = 1 and lam "
+                             "* mean(f) != 0, a system mean(f), mean(g) > 0 and a finite bound); "
+                             "pass box explicitly")
         box = (-radius, radius)
     elif check_box:
         _warn_small_box(g, [model], box, 2)
@@ -869,7 +876,7 @@ def _warn_small_box(g: WeightedGraph, models: list, box, stacklevel: int) -> Non
     radius = max((r for r in radii if r is not None), default=None)
     if radius is None:
         return
-    lo, hi = _normalize_box(box, g.ell)
+    lo, hi = _normalize_box(box, _make_problem(g, models[0]).n)
     slack = 1e-6 * (1.0 + radius)
     if np.any(lo > -radius + slack) or np.any(hi < radius - slack):
         warnings.warn(f"box is smaller than the a priori radius {radius:.3g}; "
@@ -877,14 +884,13 @@ def _warn_small_box(g: WeightedGraph, models: list, box, stacklevel: int) -> Non
 
 
 def _apriori_radius_or_none(g: WeightedGraph, model) -> float | None:
-    """The a priori radius of ``model``, or None where no bound applies.
-
-    Only the scalar model with p = 1, sigma = 1 and lam * mean(f) != 0 has one
-    (:func:`~cshlab.scalar.apriori_radius`); system models get None here.
+    """The a priori radius of ``model``, or None where no bound applies: a scalar
+    model needs p = 1, sigma = 1 and lam * mean(f) != 0 (:func:`~cshlab.scalar.apriori_radius`),
+    a system mean(f) > 0, mean(g) > 0 and a finite :func:`~cshlab.system.apriori_bound_system`.
     """
-    if not isinstance(model, ScalarModel):
-        return None
     try:
+        if isinstance(model, SystemModel):
+            return apriori_bound_system(g, model).bound
         return apriori_radius(g, model).radius
     except ValueError:
         return None

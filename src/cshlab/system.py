@@ -39,7 +39,7 @@ from .graphs import (
     spectral_gap,
     sup_norm,
 )
-from .scalar import _check_range, _ipow
+from .scalar import _check_range, _ipow, _refuse_bools
 
 __all__ = [
     "SystemModel",
@@ -72,6 +72,7 @@ class SystemModel:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _refuse_bools(self, "p", "q", "sigma")
         object.__setattr__(self, "p", _half_integer(self.p, "p"))
         object.__setattr__(self, "q", _half_integer(self.q, "q"))
         if not 0.0 <= self.sigma <= 1.0:
@@ -219,61 +220,57 @@ def _bisect_increasing(fn, target: float, lo: float = -50.0, hi: float = 50.0) -
 
 
 def apriori_bound_system(
-    g: WeightedGraph, s: SystemModel, Lambda1: float, Lambda2: float
+    g: WeightedGraph,
+    s: SystemModel,
+    Lambda1: float | None = None,
+    Lambda2: float | None = None,
 ) -> SystemBound:
     """Compute the explicit sup-norm bound for the system's solutions.
 
-    Requires fbar > 0 and gbar > 0 and checks that the supplied sources
-    actually satisfy the Lambda constraints.  The constants C1, C2 solve the
-    monotone relations ``Lambda1^-1 / (2q |V|) = (e^(2 Ct (L2+L3)) + 1)^(2p)
-    e^M (e^M + 1)^(2q-1)`` (and the p/q-swapped analog) by bisection, which is
-    exact because the right side is strictly increasing in M.  Raises
-    ``ValueError`` when the bound overflows (large ``Lambda2``), rather than
-    return an infinite ball.
+    Requires fbar > 0 and gbar > 0 and checks the Lambda constraints.  A
+    constant not given is the least admissible one, which gives the smallest
+    ball (every term grows with both): ``Lambda2 = max(||f||_inf, ||g||_inf)``
+    and ``Lambda1 = max(|int f|, 1/|int f|, |int g|, 1/|int g|)``, moved up
+    an ulp while the rounded ``1/Lambda1`` exceeds an integral.  C1, C2 solve
+    ``Lambda1^-1 / (2q |V|) = (e^(2 Ct (L2+L3)) + 1)^(2p) e^M (e^M + 1)^(2q-1)``
+    (and the p/q-swapped analog) by bisection, exact because the right side
+    is strictly increasing in M.  Raises ``ValueError`` when the bound
+    overflows (large ``Lambda2``), rather than return an infinite ball.
     """
     fbar, gbar = average(g, s.f), average(g, s.g)
     if fbar <= 0.0 or gbar <= 0.0:
         raise ValueError("the bound requires mean(f) > 0 and mean(g) > 0")
+    int_f, int_g = abs(integrate(g, s.f)), abs(integrate(g, s.g))
+    if Lambda1 is None:
+        Lambda1 = max(int_f, 1.0 / int_f, int_g, 1.0 / int_g)
+        while 1.0 / Lambda1 > min(int_f, int_g):
+            Lambda1 = float(np.nextafter(Lambda1, np.inf))
+    if Lambda2 is None:
+        Lambda2 = max(sup_norm(s.f), sup_norm(s.g))
     if Lambda1 <= 0.0 or Lambda2 <= 0.0:
         raise ValueError("Lambda1 and Lambda2 must be positive")
-    int_f, int_g = abs(integrate(g, s.f)), abs(integrate(g, s.g))
     if not (1.0 / Lambda1 <= int_f <= Lambda1 and 1.0 / Lambda1 <= int_g <= Lambda1):
         raise ValueError("sources violate Lambda1^-1 <= |int f dmu| <= Lambda1")
     if sup_norm(s.f) > Lambda2 or sup_norm(s.g) > Lambda2:
         raise ValueError("sources violate ||f||_inf <= Lambda2")
 
     Lambda3 = Lambda1 / g.volume
-    spec = spectral_gap(g)
-    ct = spec.elliptic_constant
-    big = np.exp(2.0 * ct * (Lambda2 + Lambda3))
-    b = (
-        2.0 * max(s.p, s.q) * big * (big + 1.0) ** (s.two_p + s.two_q - 1)
-        + Lambda3
-        + ct * (Lambda2 + Lambda3)
-    )
-    c = spec.elliptic_constant * b
+    ct = spectral_gap(g).elliptic_constant
 
     def rhs(two_a: int, two_b: int):
         # (big + 1)^(2a) e^M (e^M + 1)^(2b - 1), increasing in M
-        def fn(M):
-            return (big + 1.0) ** two_a * np.exp(M) * (np.exp(M) + 1.0) ** (two_b - 1)
+        return lambda M: (big + 1.0) ** two_a * np.exp(M) * (np.exp(M) + 1.0) ** (two_b - 1)
 
-        return fn
-
-    C1 = -_bisect_increasing(rhs(s.two_p, s.two_q), 1.0 / (Lambda1 * 2.0 * s.q * g.volume))
-    C2 = -_bisect_increasing(rhs(s.two_q, s.two_p), 1.0 / (Lambda1 * 2.0 * s.p * g.volume))
+    # an overflow is the infinite bound refused below, not a warning
+    with np.errstate(over="ignore"):
+        big = np.exp(2.0 * ct * (Lambda2 + Lambda3))
+        b = (2.0 * max(s.p, s.q) * big * (big + 1.0) ** (s.two_p + s.two_q - 1)
+             + Lambda3 + ct * (Lambda2 + Lambda3))
+        c = ct * b
+        C1 = -_bisect_increasing(rhs(s.two_p, s.two_q), 1.0 / (Lambda1 * 2.0 * s.q * g.volume))
+        C2 = -_bisect_increasing(rhs(s.two_q, s.two_p), 1.0 / (Lambda1 * 2.0 * s.p * g.volume))
     bound = max(4.0 * ct * (Lambda2 + Lambda3), C1 + c, C2 + c)
     if not np.isfinite(bound):
         raise ValueError(f"the system bound overflows for Lambda1 = {Lambda1:g}, "
                          f"Lambda2 = {Lambda2:g}")
-    return SystemBound(
-        Lambda1=float(Lambda1),
-        Lambda2=float(Lambda2),
-        Lambda3=float(Lambda3),
-        Ctilde=float(ct),
-        b=float(b),
-        c=float(c),
-        C1=float(C1),
-        C2=float(C2),
-        bound=float(bound),
-    )
+    return SystemBound(*(float(x) for x in (Lambda1, Lambda2, Lambda3, ct, b, c, C1, C2, bound)))

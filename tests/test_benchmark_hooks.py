@@ -23,8 +23,11 @@ import workloads  # noqa: E402
 
 
 def test_warm_up_reaches_the_traced_kernels():
+    # the warm-up's system box (-3, 3) is smaller than that system's a priori
+    # ball (radius 3,044), so it earns the small-box warning
     with tracing.installed(tracing.Tracer()) as tracer:
-        run.warm_up(cshlab, np)
+        with pytest.warns(UserWarning, match=r"a priori radius 3\.04e\+03"):
+            run.warm_up(cshlab, np)
     assert [s.name for s in tracer.spans].count("enumerate_report") == 2
     for name in ("scalar.residual", "scalar.jacobian", "system.residual_pair",
                  "system.jacobian_system", "solve.linalg_solve"):

@@ -9,6 +9,10 @@ from cshlab import checks
         lambda: checks.check_graph_calculus(seed=0, n_graphs=10, n_funcs=30),
         lambda: checks.check_elliptic_estimate(seed=0, n_graphs=10, n_funcs=300),
         lambda: checks.check_scalar_consistency(seed=0, trials=50),
+        # energies up to 2.3e5: a central difference of the energy missed
+        # the residual by more than 1e-6 relative on these two seeds
+        lambda: checks.check_scalar_consistency(seed=2),
+        lambda: checks.check_scalar_consistency(seed=6),
         lambda: checks.check_gauge_identity(seed=0, trials=50),
         lambda: checks.check_solution_identity(seed=0, cases=4),
         lambda: checks.check_system_consistency(seed=0, trials=30),
@@ -18,6 +22,8 @@ from cshlab import checks
         "graph_calculus",
         "elliptic_estimate",
         "scalar_consistency",
+        "scalar_consistency_seed2",
+        "scalar_consistency_seed6",
         "gauge_identity",
         "solution_identity",
         "system_consistency",

@@ -126,13 +126,16 @@ def test_records_carry_certification(tmp_path, k2_path, capsys, monkeypatch):
     system = {"model": "system", "parameters": {"p": 0.5, "q": 0.5},
               "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
               "enumerate": {"box": [-3.0, 3.0]}, "degree": {"radius": 3.0}}
-    code, records = _run(["enumerate", "--graph", k2_path,
-                          "--config", _write_config(tmp_path, system)], capsys)
+    # (-3, 3) is smaller than the system's a priori ball
+    with pytest.warns(UserWarning, match=r"a priori radius 3\.04e\+03"):
+        code, records = _run(["enumerate", "--graph", k2_path,
+                              "--config", _write_config(tmp_path, system)], capsys)
     summary = records[-1]
     assert code == 0 and summary["certified"] is False and summary["boxes"] == 0
     assert summary["unresolved"] == 0 and summary["grid_levels"] == [7]
-    code, records = _run(["degree", "--graph", k2_path,
-                          "--config", _write_config(tmp_path, system)], capsys)
+    with pytest.warns(UserWarning, match=r"a priori radius 3\.04e\+03"):
+        code, records = _run(["degree", "--graph", k2_path,
+                              "--config", _write_config(tmp_path, system)], capsys)
     assert code == 0 and records[0]["certified"] is False
     assert records[0]["grid_levels"] == [7]
 
@@ -160,7 +163,7 @@ def test_records_share_the_enumeration_evidence(tmp_path, k2_path, capsys, monke
     system = _write_config(tmp_path, {
         "model": "system", "parameters": {"p": 0.5, "q": 0.5},
         "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
-        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [0.0, 1.0]},
+        "system": {"sigma_grid": [0.0, 1.0]},
     })
     code, records = _run(["system", "--graph", k2_path, "--config", system], capsys)
     slices = records[1]["slices"]
@@ -300,12 +303,12 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("sweep", scalar, {"sweep": {**sweep, "range": [float("-inf"), -5.0]}},
          "sweep range must be finite, got -inf"),
         ("degree", scalar, {"degree": {"radius": "8"}}, "radius must be a number"),
-        ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [None]}},
+        ("system", system, {"system": {"sigma_grid": [None]}},
          "sigma_grid must be a number"),
         # checked before the system_bound record, so nothing reaches stdout
-        *(("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [sg]}},
+        *(("system", system, {"system": {"sigma_grid": [sg]}},
            "sigma_grid values must lie in [0, 1]") for sg in (float("nan"), 1.5, -0.25)),
-        ("system", system, {"system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": []}},
+        ("system", system, {"system": {"sigma_grid": []}},
          "sigma_grid must hold at least one sigma"),
         ("enumerate", scalar, {"enumerate": 3}, "config entry 'enumerate' must be an object"),
         ("solve", scalar, {"parameters": [1]}, "config entry 'parameters' must be an object"),
@@ -349,19 +352,24 @@ def test_config_error_exit_codes(tmp_path, k2_path, capsys):
         ("solve", scalar, {"source": {"f": {"constant": -1.0}, "g": {"constant": 1.0}}},
          "config entry 'source' takes no 'g'"),
         ("solve", scalar, {"solve": {"seed_u": 0.0}}, "config entry 'solve' takes no 'seed_u'"),
+        # the system bound reads its constants off the sources: no section takes them
+        *((command, system, {command: {key: 2.0}}, f"config entry '{command}' takes no '{key}'")
+          for command in ("system", "degree") for key in ("Lambda1", "Lambda2")),
     )
     for command, model, section, message in bad_values:
         cfg7 = _write_config(tmp_path, {**model, **section})
         assert main([command, "--graph", k2_path, "--config", cfg7]) == 2, section
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, captured.err
-    # a system bound that overflows is refused before any record is written
-    for command in ("system", "degree"):
-        cfg8 = _write_config(tmp_path, {**system, "system": {"Lambda1": 2.0, "Lambda2": 1000.0}})
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main([command, "--graph", k2_path, "--config", cfg8]) == 2
+    # a system bound that overflows (||f||_inf = 1000) is refused before any
+    # record is written; degree then has no a priori ball to search
+    big = {**system, "source": {"f": {"values": {"x1": 1000.0, "x2": 1.0}},
+                                "g": {"constant": 1.0}}}
+    for command, message in (("system", "the system bound overflows"),
+                             ("degree", "no a priori bound")):
+        assert main([command, "--graph", k2_path, "--config", _write_config(tmp_path, big)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "the system bound overflows" in captured.err
+        assert captured.out == "" and message in captured.err, captured.err
     # and any record holding a non-finite number is refused, not written
     out = tmp_path / "out.jsonl"
     emitter = _Emitter(str(out))
@@ -379,7 +387,7 @@ def test_grid_key_is_refused_in_every_section(tmp_path, k2_path, capsys):
               "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}}}
     sections = {"enumerate": {"box": [-3.0, 3.0]}, "degree": {"radius": 3.0},
                 "sweep": {"range": [-4.5, -5.5], "steps": 2, "box": [-5.0, 2.0]},
-                "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [1.0]}}
+                "system": {"sigma_grid": [1.0]}}
     for model in (scalar, system):
         for command, section in sections.items():
             cfg = _write_config(tmp_path, {**model, command: {**section, "grid": 5}})
@@ -387,11 +395,6 @@ def test_grid_key_is_refused_in_every_section(tmp_path, k2_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"config entry '{command}' takes no 'grid'" in captured.err
-    # the degree command reads the system bound from the system section
-    cfg = _write_config(tmp_path, {**system, "system": {**sections["system"], "grid": 5}})
-    assert main(["degree", "--graph", k2_path, "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "takes no 'grid'" in captured.err
 
 
 @pytest.mark.parametrize("vertex_mu, edge_w, message", [
@@ -436,7 +439,7 @@ def test_system_command(tmp_path, k2_path, capsys, monkeypatch):
         "model": "system",
         "parameters": {"p": 0.5, "q": 0.5},
         "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
-        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [0.0, 1.0]},
+        "system": {"sigma_grid": [0.0, 1.0]},
     })
     code, records = _run(["system", "--graph", k2_path, "--config", cfg], capsys)
     assert code == 0
@@ -445,6 +448,25 @@ def test_system_command(tmp_path, k2_path, capsys, monkeypatch):
     audit = records[1]
     assert audit["degree_constant"] is True
     assert audit["sigma_zero_empty"] is True
+    # the constants are the least ones the sources admit, and the audit
+    # searches the ball they give
+    assert (records[0]["Lambda1"], records[0]["Lambda2"]) == (2.0, 1.0)
+    assert audit["radius"] == records[0]["bound"] == pytest.approx(3043.96, abs=0.01)
+
+
+def test_degree_command_on_a_system_searches_its_a_priori_ball(tmp_path, k2_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)  # one grid level is enough here
+    cfg = _write_config(tmp_path, {
+        "model": "system",
+        "parameters": {"p": 0.5, "q": 0.5},
+        "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
+    })
+    code, (rec,) = _run(["degree", "--graph", k2_path, "--config", cfg], capsys)
+    assert code == 0
+    assert rec["computed"] == rec["expected"] == 0 and rec["roots"] == []
+    assert rec["radius"] == pytest.approx(3043.96, abs=0.01)
+    assert rec["box"] == [[-rec["radius"]] * 4, [rec["radius"]] * 4]
 
 
 def test_config_error_leaves_out_file_untouched(tmp_path, k2_path, capsys):
@@ -457,7 +479,7 @@ def test_config_error_leaves_out_file_untouched(tmp_path, k2_path, capsys):
     bad_sigma = _write_config(tmp_path, {
         "model": "system", "parameters": {"p": 0.5, "q": 0.5},
         "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
-        "system": {"Lambda1": 2.0, "Lambda2": 1.0, "sigma_grid": [2.0]},
+        "system": {"sigma_grid": [2.0]},
     })
     assert main(["system", "--graph", k2_path, "--config", bad_sigma, "--out", str(out_path)]) == 2
     assert capsys.readouterr().out == ""

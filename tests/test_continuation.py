@@ -10,6 +10,7 @@ from cshlab import (
     ScalarModel,
     SolveOptions,
     SolverError,
+    SystemModel,
     apriori_radius,
     enumerate_report,
     estimate_threshold,
@@ -310,14 +311,15 @@ def test_default_box_is_the_apriori_ball(k2):
 
 
 def test_model_without_apriori_bound_needs_a_box(k2):
-    # lam * mean(f) = 0, a sigma < 1 slice and the system model have no
-    # a priori bound: no fallback window is searched in their place
+    # lam * mean(f) = 0, a sigma < 1 slice and a system with a negative
+    # source mean have no a priori bound: no fallback window is searched in
+    # their place
     f0 = np.array([1.0, -1.0])
     with pytest.raises(ValueError, match="pass box"):
         sweep_lambda(k2, f0, (-10.0, -9.0), 2)
     with pytest.raises(ValueError, match="pass box"):
         estimate_threshold(k2, f0, "strict_min_neg", bracket=(-5.0, -3.0), tol=1e-2)
     for model, path in ((ScalarModel(lam=1.0, f=np.ones(2)), [0.5, 0.25]),
-                        (manufactured_system(k2)[0], [1.0])):
+                        (SystemModel(p=0.5, q=0.5, f=-np.ones(2), g=np.ones(2)), [1.0])):
         with pytest.raises(ValueError, match="pass box"):
             sigma_homotopy(k2, model, path)

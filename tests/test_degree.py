@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 import cshlab.solve as solve_mod
 from cshlab import (
     ScalarModel,
+    SystemModel,
+    apriori_bound_system,
     build_graph,
     cycle_graph,
     degree_by_enumeration,
     dirac_source,
+    enumerate_report,
     expected_degree_scalar,
     homotopy_audit,
     multiplicity_audit,
@@ -15,6 +20,8 @@ from cshlab import (
 from conftest import manufactured_system
 
 SIGN_TABLE = [(10.0, -1.0, 1), (-10.0, 1.0, -1), (-10.0, -1.0, 0), (10.0, 1.0, 0)]
+# the manufactured system's a priori ball (its constants read off its sources)
+MANUFACTURED_BALL = r"a priori radius 3\.47e\+14"
 
 
 @pytest.mark.parametrize(
@@ -191,7 +198,8 @@ def test_reports_hold_their_enumeration(k2, monkeypatch):
     assert not rep.enumeration.certified and rep.enumeration.unresolved > 0
     s, _, _ = manufactured_system(k2)
     monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
-    audit = homotopy_audit(k2, s, [0.0, 1.0], radius=12.0)
+    with pytest.warns(UserWarning, match=MANUFACTURED_BALL):
+        audit = homotopy_audit(k2, s, [0.0, 1.0], radius=12.0)
     for sl in audit.slices:
         assert sl.enumeration.grid_levels == [7] and sl.enumeration.box[1][0] == 12.0
         assert len(sl.roots) <= len(sl.enumeration.roots)
@@ -199,7 +207,8 @@ def test_reports_hold_their_enumeration(k2, monkeypatch):
 
 def test_manufactured_system_degree_cancels(k2):
     s, u0, v0 = manufactured_system(k2)
-    rep = degree_by_enumeration(k2, s, radius=12.0)
+    with pytest.warns(UserWarning, match=MANUFACTURED_BALL):
+        rep = degree_by_enumeration(k2, s, radius=12.0)
     assert rep.expected_degree == 0
     assert rep.computed_degree == 0
     assert len(rep.roots) >= 2
@@ -210,7 +219,8 @@ def test_homotopy_audit_flags_small_ball(k2, monkeypatch):
     # shrinking the ball below the root norms must raise the violation flag
     s, u0, v0 = manufactured_system(k2)
     monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
-    audit = homotopy_audit(k2, s, [1.0], radius=1.05)
+    with pytest.warns(UserWarning, match=MANUFACTURED_BALL):
+        audit = homotopy_audit(k2, s, [1.0], radius=1.05)
     assert audit.bound_violation
 
 
@@ -228,3 +238,21 @@ def test_homotopy_audit_rejects_an_empty_sigma_grid(k2):
     s, _, _ = manufactured_system(k2)
     with pytest.raises(ValueError, match="at least one sigma"):
         homotopy_audit(k2, s, [], radius=12.0)
+
+
+def test_small_system_box_warns_once(k2, monkeypatch):
+    # the system's ball holds for every sigma: an enumeration, a degree and a
+    # whole audit over a smaller box each warn once
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)  # one grid level is enough here
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    radius = apriori_bound_system(k2, s).bound
+    # a box given per coordinate has the system's length 2 ell
+    box = (np.full(4, -12.0), np.full(4, 12.0))
+    for call in (lambda: enumerate_report(k2, s, box=box),
+                 lambda: degree_by_enumeration(k2, s, radius=12.0),
+                 lambda: homotopy_audit(k2, s, [0.0, 0.5, 1.0], radius=12.0)):
+        with pytest.warns(UserWarning, match=re.escape(f"a priori radius {radius:.3g};")) as caught:
+            call()
+        assert len(caught) == 1
+    # the whole ball warns not at all (tier-1 turns a warning into an error)
+    assert homotopy_audit(k2, s, [0.0], radius=radius).sigma_zero_empty

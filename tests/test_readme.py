@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import cshlab.cli
 from cshlab import SolveOptions, complete_graph, save_graph
 from cshlab.cli import main
+from cshlab.degree import HomotopyAudit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,11 +32,15 @@ def test_readme_tolerance_table_matches_solve_options():
         assert value == field.default, name
 
 
-def test_readme_experiment_config_passes_the_key_check(tmp_path, capsys):
-    # every key of the documented config is one its reader takes
+def _readme_config() -> dict:
     text = README.read_text(encoding="utf-8")
     block = text.split("Experiment config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-    cfg = json.loads(block)
+    return json.loads(block)
+
+
+def test_readme_experiment_config_passes_the_key_check(tmp_path, capsys):
+    # every key of the documented config is one its reader takes
+    cfg = _readme_config()
     cfg["graph"] = str(tmp_path / "k2.json")
     save_graph(complete_graph(2), cfg["graph"])
     path = tmp_path / "config.json"
@@ -47,3 +53,28 @@ def test_readme_experiment_config_passes_the_key_check(tmp_path, capsys):
             code = main([command, "--config", str(path)])
         assert code == 0, (command, capsys.readouterr().err)
         capsys.readouterr()
+
+
+def test_readme_system_section_passes_the_system_key_check(tmp_path, capsys, monkeypatch):
+    # the documented config is scalar, so no command above reads its system
+    # section; run it as a system config, with the audit itself stubbed out
+    cfg = _readme_config()
+    cfg["graph"] = str(tmp_path / "k2.json")
+    save_graph(complete_graph(2), cfg["graph"])
+    cfg["model"] = "system"
+    cfg["parameters"] = {"p": 0.5, "q": 0.5, "sigma": 1.0}
+    cfg["source"] = {"f": cfg["source"]["f"], "g": cfg["source"]["f"]}
+    for key in ("solve", "sweep"):  # sections of scalar keys, read by other commands
+        del cfg[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    audited = []
+
+    def audit(g, model, sigma_grid, radius, opts=None):
+        audited.append(sigma_grid)
+        return HomotopyAudit(radius, [], True, None, False)
+
+    monkeypatch.setattr(cshlab.cli, "homotopy_audit", audit)
+    code = main(["system", "--config", str(path)])
+    assert code == 0, capsys.readouterr().err
+    assert audited == [cfg["system"]["sigma_grid"]]

@@ -37,6 +37,12 @@ def test_model_validation(k2):
     for p in (np.inf, -np.inf, np.nan, "2"):
         with pytest.raises(ValueError, match="p must be a positive integer"):
             ScalarModel(lam=1.0, f=np.ones(2), p=p)
+    # a bool is no coupling, power or deformation, though Python reads True as 1
+    for name in ("lam", "p", "sigma"):
+        for value in (True, np.True_):
+            fields = {"lam": 1.0, "f": np.ones(2), name: value}
+            with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+                ScalarModel(**fields)
 
 
 def test_residual_zero_at_origin(k2):

@@ -10,6 +10,7 @@ from cshlab import (
     SolveOptions,
     SolverError,
     SystemModel,
+    apriori_bound_system,
     apriori_radius,
     constant_solutions,
     cycle_graph,
@@ -343,9 +344,20 @@ def test_enumerate_box_warning_only_for_a_small_box(k2, monkeypatch):
 def test_enumerate_without_a_priori_bound_needs_a_box(k2):
     with pytest.raises(ValueError, match="pass box"):
         enumerate_report(k2, ScalarModel(lam=-10.0, f=np.array([1.0, -1.0])))
+    # a system bound needs positive source means, and a finite value
+    for f in (-np.ones(2), np.array([1000.0, 1.0])):
+        s = SystemModel(p=0.5, q=0.5, f=f, g=np.ones(2))
+        with pytest.raises(ValueError, match="pass box"):
+            enumerate_report(k2, s)
+
+
+def test_enumerate_system_without_a_box_searches_its_a_priori_ball(k2, monkeypatch):
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)  # one grid level is enough here
     s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
-    with pytest.raises(ValueError, match="pass box"):
-        enumerate_report(k2, s)
+    radius = apriori_bound_system(k2, s).bound
+    rep = enumerate_report(k2, s)
+    assert rep.box[0].tolist() == [-radius] * 4 and rep.box[1].tolist() == [radius] * 4
+    assert rep.roots == []
 
 
 def test_enumerate_seed_cap(k2):

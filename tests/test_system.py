@@ -9,6 +9,7 @@ from cshlab import (
     functional_G,
     hessian_system,
     jacobian_system,
+    random_connected_graph,
     residual_pair,
     sup_norm,
 )
@@ -30,6 +31,13 @@ def test_model_validation(k2):
             SystemModel(p=value, q=0.5, f=z, g=z)
         with pytest.raises(ValueError, match="q must be a finite number"):
             SystemModel(p=0.5, q=value, f=z, g=z)
+    # a bool is no power or deformation: p = True was refused only because
+    # 2 * True is even, sigma = True was taken as 1
+    for name in ("p", "q", "sigma"):
+        for value in (True, np.True_):
+            fields = {"p": 0.5, "q": 0.5, "f": z, "g": z, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+                SystemModel(**fields)
     s = SystemModel(p=1.5, q=2.5, f=z, g=z)
     assert (s.two_p, s.two_q) == (3, 5)
 
@@ -134,10 +142,51 @@ def test_apriori_bound_rejects_bad_inputs(k2):
     neg = SystemModel(p=0.5, q=0.5, f=-np.ones(2), g=np.ones(2))
     with pytest.raises(ValueError, match="mean"):
         apriori_bound_system(k2, neg, Lambda1=2.0, Lambda2=1.0)
-    # exp(2 Ct (Lambda2 + Lambda3)) overflows: an error, not an infinite ball
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="the system bound overflows"):
-            apriori_bound_system(k2, s, Lambda1=2.0, Lambda2=1000.0)
+    # exp(2 Ct (Lambda2 + Lambda3)) overflows: an error, not an infinite ball,
+    # and no warning, since the a priori box rule evaluates the bound for
+    # every system enumeration
+    with pytest.raises(ValueError, match="the system bound overflows"):
+        apriori_bound_system(k2, s, Lambda1=2.0, Lambda2=1000.0)
+    big = SystemModel(p=0.5, q=0.5, f=np.array([1000.0, 1.0]), g=np.ones(2))
+    with pytest.raises(ValueError, match="the system bound overflows"):
+        apriori_bound_system(k2, big)
+
+
+def test_apriori_bound_reads_the_least_constants_off_the_sources(k2):
+    # on K2 with f = g = 1: |int f| = 2 and ||f||_inf = 1, the constants of c02
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2))
+    derived = apriori_bound_system(k2, s)
+    assert derived == apriori_bound_system(k2, s, Lambda1=2.0, Lambda2=1.0)
+    assert derived.bound == pytest.approx(3043.96, abs=0.01)
+    # either constant alone is read off the sources too
+    assert apriori_bound_system(k2, s, Lambda1=2.0) == derived
+    assert apriori_bound_system(k2, s, Lambda2=1.0) == derived
+
+
+def test_apriori_bound_grows_with_the_constants(rng):
+    # the derived constants are the least admissible ones, and no admissible
+    # larger constant gives a smaller ball
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=4)
+        s = SystemModel(p=rng.choice([0.5, 1.5]), q=rng.choice([0.5, 1.5]),
+                        f=rng.uniform(0.05, 1.0, g.ell), g=rng.uniform(0.05, 1.0, g.ell))
+        least = apriori_bound_system(g, s)
+        for scale1, scale2 in ((1.0, 1.0), (1.5, 1.0), (1.0, 1.5), (1.2, 1.3)):
+            bigger = apriori_bound_system(g, s, least.Lambda1 * scale1, least.Lambda2 * scale2)
+            assert bigger.bound >= least.bound
+
+
+def test_apriori_bound_rounds_lambda1_up_to_an_admissible_value(k2):
+    # |int f| = a < 1: Lambda1 = fl(1 / a) may round so that the bound's own
+    # check 1 / Lambda1 <= |int f| fails (8.7 % of a in (0.01, 1)); this a does
+    a = 0.026362359173243803
+    assert 1.0 / (1.0 / a) > a
+    s = SystemModel(p=0.5, q=0.5, f=np.full(2, a / 2.0), g=np.ones(2))
+    bound = apriori_bound_system(k2, s)
+    assert bound.Lambda1 == np.nextafter(1.0 / a, np.inf)
+    assert apriori_bound_system(k2, s, Lambda1=bound.Lambda1) == bound
+    with pytest.raises(ValueError, match="sources violate Lambda1"):
+        apriori_bound_system(k2, s, Lambda1=1.0 / a)
 
 
 def test_manufactured_root_is_exact(k2):
@@ -162,7 +211,8 @@ def test_system_signs_cancel_on_weighted_graph():
     from cshlab import average
 
     assert average(g, f) > 0.0 and average(g, gg) > 0.0
-    roots = enumerate_report(g, s, box=(-9.0, 3.0), grid_n=9).roots
+    with pytest.warns(UserWarning, match=r"a priori radius 6\.95e\+08"):
+        roots = enumerate_report(g, s, box=(-9.0, 3.0), grid_n=9).roots
     assert len(roots) >= 2
     assert any(np.abs(r.point - np.concatenate([u0, v0])).max() <= 1e-9 for r in roots)
     assert sum(r.sign_det for r in roots) == 0
@@ -178,7 +228,8 @@ def test_maximum_principle_split_bounds(k2):
     assert average(k2, s.f) > 0.0 and average(k2, s.g) > 0.0
     phi = solve_poisson(k2, s.f - average(k2, s.f))
     psi = solve_poisson(k2, s.g - average(k2, s.g))
-    roots = enumerate_report(k2, s, box=(-9.0, 3.0)).roots
+    with pytest.warns(UserWarning, match=r"a priori radius 3\.47e\+14"):
+        roots = enumerate_report(k2, s, box=(-9.0, 3.0)).roots
     assert roots, "control system must have roots"
     for r in roots:
         u, v = r.point[:2], r.point[2:]

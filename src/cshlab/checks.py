@@ -27,7 +27,6 @@ from .graphs import (
 )
 from .scalar import (
     ScalarModel,
-    _energy,
     energy,
     gauge_transform,
     gauged_energy,
@@ -49,10 +48,16 @@ __all__ = [
 ]
 
 
-def _central_difference(fn, x: np.ndarray, d: np.ndarray):
-    """Central difference quotient of ``fn`` at ``x`` along ``d`` (or each row of it)."""
-    t = 1e-5
-    return (fn(x + t * d) - fn(x - t * d)) / (2.0 * t)
+def _complex_step(fn, x: np.ndarray, d: np.ndarray):
+    """Derivative of ``fn`` at ``x`` along ``d`` (or each row of it), ``Im fn(x + i h d) / h``
+    with h = 1e-30: the complex step subtracts nothing, so it holds to rounding level."""
+    h = 1e-30
+    return np.imag(fn(x + 1j * h * d)) / h
+
+
+def _mismatch(exact, approx) -> np.ndarray:
+    """Where ``approx`` misses ``exact`` by more than 1e-12 * max(1, |exact|)."""
+    return np.abs(approx - exact) > 1e-12 * np.maximum(1.0, np.abs(exact))
 
 
 def _mu_symmetric(mu: np.ndarray, M: np.ndarray) -> bool:
@@ -130,9 +135,8 @@ def _rand_scalar_model(rng: np.random.Generator, g: WeightedGraph) -> ScalarMode
 
 
 def check_scalar_consistency(seed: int = 0, trials: int = 100) -> list[str]:
-    """Residual = energy gradient, by the complex step Im E(u + i h d) / h, which
-    subtracts nothing and so holds to 1e-12 relative at any energy; Jacobian =
-    residual derivative, by central differences; mu-weighted symmetry of J."""
+    """Residual = energy gradient and Jacobian = residual derivative, both by the
+    complex step to 1e-12 relative; mu-weighted symmetry of J."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
     for k in range(trials):
@@ -141,15 +145,13 @@ def check_scalar_consistency(seed: int = 0, trials: int = 100) -> list[str]:
         u = rng.uniform(-2.0, 2.0, g.ell)
         res = residual(g, m, u)
         # row i of eye / mu is the delta at vertex i, 1 / mu(i) there
-        h = 1e-30
-        grad = _energy(g, m, u + 1j * h * (np.eye(g.ell) / g.mu)).imag / h
-        for i in np.flatnonzero(np.abs(grad - res) > 1e-12 * np.maximum(1.0, np.abs(res))):
+        grad = _complex_step(lambda x: energy(g, m, x), u, np.eye(g.ell) / g.mu)
+        for i in np.flatnonzero(_mismatch(res, grad)):
             bad.append(f"trial {k}: energy gradient mismatch at vertex {i}")
         J = jacobian(g, m, u)
-        # the quotient along e_i is row i of the stack and column i of J
-        fd = _central_difference(lambda x: residual(g, m, x), u, np.eye(g.ell)).T
-        if np.abs(J - fd).max() > 1e-6 * max(1.0, np.abs(J).max()):
-            bad.append(f"trial {k}: Jacobian does not match finite differences")
+        # the derivative along e_i is row i of the stack and column i of J
+        if _mismatch(J, _complex_step(lambda x: residual(g, m, x), u, np.eye(g.ell)).T).any():
+            bad.append(f"trial {k}: Jacobian does not match the complex step")
         if not _mu_symmetric(g.mu, J):
             bad.append(f"trial {k}: Jacobian not mu-symmetric")
     return bad
@@ -211,8 +213,9 @@ def _rand_system_model(rng: np.random.Generator, g: WeightedGraph) -> SystemMode
 
 
 def check_system_consistency(seed: int = 0, trials: int = 60) -> list[str]:
-    """Pairing of the functional derivative with the swapped residuals,
-    finite-difference check of the Jacobian, and its block structure."""
+    """Pairing of the functional derivative with the swapped residuals and the
+    Jacobian, both against the complex step to 1e-12 relative; the Jacobian's
+    block structure."""
     rng = np.random.default_rng(seed)
     bad: list[str] = []
     for k in range(trials):
@@ -224,19 +227,18 @@ def check_system_consistency(seed: int = 0, trials: int = 60) -> list[str]:
         phi = rng.uniform(-1.0, 1.0, ell)
         psi = rng.uniform(-1.0, 1.0, ell)
         x = np.concatenate([u, v])
-        fd = _central_difference(lambda y: functional_G(g, s, y[:ell], y[ell:]), x,
-                                 np.concatenate([phi, psi]))
         r1, r2 = residual_pair(g, s, u, v)
         pairing = integrate(g, r2 * phi + r1 * psi)
-        if abs(fd - pairing) > 1e-6 * max(1.0, abs(pairing)):
+        if _mismatch(pairing, _complex_step(lambda y: functional_G(g, s, y[:ell], y[ell:]), x,
+                                            np.concatenate([phi, psi]))):
             bad.append(f"trial {k}: functional derivative pairing mismatch")
 
         J = jacobian_system(g, s, u, v)
-        fdJ = _central_difference(
+        cs = _complex_step(
             lambda y: np.concatenate(residual_pair(g, s, y[:, :ell], y[:, ell:]), axis=1),
             x, np.eye(2 * ell)).T
-        if np.abs(J - fdJ).max() > 1e-6 * max(1.0, np.abs(J).max()):
-            bad.append(f"trial {k}: system Jacobian does not match finite differences")
+        if _mismatch(J, cs).any():
+            bad.append(f"trial {k}: system Jacobian does not match the complex step")
 
         for blk in (J[:ell, ell:], J[ell:, :ell]):
             if np.abs(blk - np.diag(np.diag(blk))).max() > 0.0:

@@ -277,10 +277,11 @@ def random_connected_graph(
 # calculus
 
 def as_vertex_function(g: WeightedGraph, values) -> np.ndarray:
-    """Coerce ``values`` to a float array shaped (..., ell) with finite entries."""
-    u = np.asarray(values, dtype=float)
+    """Coerce ``values`` to a float array shaped (..., ell) with finite entries;
+    a complex input stays complex, so the model functions take the complex step."""
+    u = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if np.isscalar(values) or u.ndim == 0:
-        u = np.full(g.ell, float(values))
+        u = np.full(g.ell, u)
     if u.shape[-1] != g.ell:
         raise ValueError(f"vertex function has length {u.shape[-1]}, graph has {g.ell} vertices")
     if not np.all(np.isfinite(u)):
@@ -312,7 +313,7 @@ def integrate(g: WeightedGraph, h: np.ndarray) -> float | np.ndarray:
     """``int_V h dmu``; returns a scalar, or an array for batched input."""
     h = as_vertex_function(g, h)
     out = h @ g.mu
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def average(g: WeightedGraph, h: np.ndarray) -> float | np.ndarray:

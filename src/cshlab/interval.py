@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, as_vertex_function
 from .scalar import ScalarModel, _jacobian_exp
 
 __all__ = ["ScalarKernel"]
@@ -179,9 +179,9 @@ class ScalarKernel:
         self.tiny = _TINY * (1.0 + abs_A.sum(axis=1).max())
         self.grow_abs_A = np.nextafter(self.grow * abs_A, np.inf)
         self.gamma_abs_A = np.nextafter(self.gamma * abs_A, np.inf)
-        self.slack = np.nextafter(self.tiny + 4 * _U * np.abs(m.f), np.inf)
         self.g, self.m = g, m
-        self.mu, self.f = g.mu, m.f
+        self.mu, self.f = g.mu, as_vertex_function(g, m.f)
+        self.slack = np.nextafter(self.tiny + 4 * _U * np.abs(self.f), np.inf)
         self.lam, self.sigma = m.lam, m.sigma
         self.two_p = 2 * m.p
         self.k_g, self.k_d = 2 * m.p - 1, 2 * m.p - 2

@@ -155,27 +155,21 @@ def residual(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(u)
         nonlin = m.lam * e * _ipow(e - m.sigma, 2 * m.p - 1)
-        return u @ g.neg_laplacian_matrix().T + nonlin + m.f
+        return u @ g.neg_laplacian_matrix().T + nonlin + as_vertex_function(g, m.f)
 
 
 def energy(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> float | np.ndarray:
     """Energy whose critical points are the model's solutions."""
     u = as_vertex_function(g, u)
     _check_range(u)
-    out = _energy(g, m, u)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _energy(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> np.ndarray:
-    """:func:`energy` at the points u, unchecked and in u's dtype: a complex u gives
-    the complex-step derivative Im E(u + i h d) / h that the consistency check takes."""
     neg_lap = g.neg_laplacian_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         dirichlet = 0.5 * np.einsum("...i,...i->...", u @ neg_lap.T, u * g.mu)
         e = np.exp(u)
         pot = (m.lam / (2.0 * m.p)) * (_ipow(e - m.sigma, 2 * m.p) @ g.mu)
-        src = (u * m.f) @ g.mu
-    return dirichlet + pot + src
+        src = (u * as_vertex_function(g, m.f)) @ g.mu
+    out = dirichlet + pot + src
+    return out.item() if np.ndim(out) == 0 else out
 
 
 def jacobian(g: WeightedGraph, m: ScalarModel, u: np.ndarray) -> np.ndarray:

@@ -124,8 +124,10 @@ def residual_pair(
     with np.errstate(over="ignore", invalid="ignore"):
         eu, ev = np.exp(u), np.exp(v)
         au, bv = eu - s.sigma, ev - s.sigma
-        r1 = u @ neg_lap.T + 2 * s.q * ev * _ipow(au, s.two_p) * _ipow(bv, s.two_q - 1) + s.f
-        r2 = v @ neg_lap.T + 2 * s.p * eu * _ipow(au, s.two_p - 1) * _ipow(bv, s.two_q) + s.g
+        r1 = u @ neg_lap.T + 2 * s.q * ev * _ipow(au, s.two_p) * _ipow(bv, s.two_q - 1)
+        r2 = v @ neg_lap.T + 2 * s.p * eu * _ipow(au, s.two_p - 1) * _ipow(bv, s.two_q)
+        r1 += as_vertex_function(g, s.f)
+        r2 += as_vertex_function(g, s.g)
     return r1, r2
 
 
@@ -137,10 +139,10 @@ def functional_G(g: WeightedGraph, s: SystemModel, u: np.ndarray, v: np.ndarray)
     v = as_vertex_function(g, v)
     _check_range(u, v)
     neg_lap = g.neg_laplacian_matrix()
-    cross = float((u @ neg_lap.T) @ (v * g.mu))   # int grad u . grad v dmu
+    cross = ((u @ neg_lap.T) @ (v * g.mu)).item()   # int grad u . grad v dmu
     with np.errstate(over="ignore", invalid="ignore"):
-        well = float(integrate(g, _ipow(np.exp(u) - 1.0, s.two_p) * _ipow(np.exp(v) - 1.0, s.two_q)))
-    src = float(integrate(g, s.f * v + s.g * u))
+        well = integrate(g, _ipow(np.exp(u) - 1.0, s.two_p) * _ipow(np.exp(v) - 1.0, s.two_q))
+    src = integrate(g, as_vertex_function(g, s.f) * v + as_vertex_function(g, s.g) * u)
     return cross + well + src
 
 

@@ -2,9 +2,14 @@
 
 One box column, one term and one numpy call at a time.  The tests compare
 :class:`cshlab.interval.ScalarKernel`, which hoists the constants and stacks
-the per-box work, with these functions bit for bit (``tobytes``): both must
-do the same floating-point operations on every element.  Keep this file
-frozen; a change of the kernel's rounding changes this reference on purpose.
+the per-box work, with these functions.  The Jacobian diagonal does the same
+floating-point operations on every element and must match bit for bit
+(``tobytes``).  The kernel takes the residual's and the Krawczyk operator's
+products with -L and Y in midpoint-radius form, so those must contain the
+point images and be at most 1e-10 relative wider than this reference's
+bounds; they need not equal them.
+Keep this file frozen; a change of the kernel's rounding changes this
+reference on purpose.
 """
 
 from __future__ import annotations

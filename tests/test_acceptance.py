@@ -2,7 +2,7 @@
 
 Every expected value here is either a closed-form table entry, an exact
 identity, or a quantity recomputed by an independent oracle (polynomial root
-isolation, finite differences, brute-force enumeration); tolerances are fixed
+isolation, complex-step derivatives, brute-force enumeration); tolerances are fixed
 below and never loosened at run time.
 """
 
@@ -158,7 +158,7 @@ def test_c07_elliptic_estimate():
 def test_c08_gradient_hessian_checks():
     bad_scalar = check_scalar_consistency(seed=5, trials=100)
     bad_system = check_system_consistency(seed=5, trials=100)
-    _report(8, "finite-difference gradient/Jacobian checks",
+    _report(8, "complex-step gradient/Jacobian checks",
             not bad_scalar and not bad_system,
             f"scalar={len(bad_scalar)}, system={len(bad_system)}")
 

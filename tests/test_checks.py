@@ -1,6 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from cshlab import checks
+from cshlab import checks, scalar, system
 
 
 @pytest.mark.parametrize(
@@ -10,7 +13,8 @@ from cshlab import checks
         lambda: checks.check_elliptic_estimate(seed=0, n_graphs=10, n_funcs=300),
         lambda: checks.check_scalar_consistency(seed=0, trials=50),
         # energies up to 2.3e5: a central difference of the energy missed
-        # the residual by more than 1e-6 relative on these two seeds
+        # the residual by more than 1e-6 relative on these two seeds; the
+        # complex step does not subtract and holds to 1e-12
         lambda: checks.check_scalar_consistency(seed=2),
         lambda: checks.check_scalar_consistency(seed=6),
         lambda: checks.check_gauge_identity(seed=0, trials=50),
@@ -46,3 +50,39 @@ def test_run_all_shape():
         "solver",
     }
     assert all(v == [] for v in results.values())
+
+
+def test_derivative_suites_clean_at_seeds_0_to_30():
+    for seed in range(31):
+        assert checks.check_scalar_consistency(seed) == [], seed
+        assert checks.check_system_consistency(seed) == [], seed
+
+
+def _scaled_lam(g, m, u):
+    return scalar.jacobian(g, dataclasses.replace(m, lam=m.lam * (1.0 + 1e-9)), u)
+
+
+def _scaled_n1(g, s, u, v):
+    r1, r2 = system.residual_pair(g, s, u, v)
+    # N1 = r1 + L u - f, the nonlinear term of the first equation
+    n1 = r1 - np.asarray(u) @ g.neg_laplacian_matrix().T - s.f
+    return r1 + 1e-9 * n1, r2
+
+
+def _scaled_d12(g, s, u, v):
+    J = system.jacobian_system(g, s, u, v)
+    idx = np.arange(g.ell)
+    J[..., idx, g.ell + idx] *= 1.0 + 1e-9
+    return J
+
+
+@pytest.mark.parametrize("name, mutant, suite", [
+    ("jacobian", _scaled_lam, checks.check_scalar_consistency),
+    ("residual_pair", _scaled_n1, checks.check_system_consistency),
+    ("jacobian_system", _scaled_d12, checks.check_system_consistency),
+], ids=["scalar_jacobian_lam", "system_pairing_n1", "system_jacobian_d12"])
+def test_derivative_suites_see_a_relative_error_of_1e9(monkeypatch, name, mutant, suite):
+    # one formula off by 1e-9 relative, patched where the suites look it up;
+    # a central difference at a 1e-6 bound reports none of the three
+    monkeypatch.setattr(checks, name, mutant)
+    assert suite(seed=0) != []

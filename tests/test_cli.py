@@ -486,6 +486,24 @@ def test_config_error_leaves_out_file_untouched(tmp_path, k2_path, capsys):
     assert out_path.read_text() == '{"kind": "earlier run"}\n'
 
 
+def test_failing_system_audit_writes_no_record(tmp_path, k2_path, capsys):
+    # the system_bound record used to be written before the audit ran, so a
+    # solver failure left it alone on stdout and in the --out file
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_text('{"kind": "earlier run"}\n')
+    cfg = _write_config(tmp_path, {
+        "model": "system", "parameters": {"p": 0.5, "q": 0.5},
+        "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
+        "system": {"sigma_grid": [0.0]},
+        "tolerances": {"seed_cap": 10},
+    })
+    assert main(["system", "--graph", k2_path, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed budget exceeded" in captured.err
+    assert main(["system", "--graph", k2_path, "--config", cfg, "--out", str(out_path)]) == 3
+    assert out_path.read_text() == '{"kind": "earlier run"}\n'
+
+
 def test_unwritable_out_is_refused_before_any_work(tmp_path, k2_path, capsys, monkeypatch):
     # a directory, or a file in a missing directory, used to fail only when
     # the first record was written, after the whole enumeration

@@ -5,6 +5,7 @@ import pytest
 
 from cshlab import (
     GraphError,
+    as_vertex_function,
     average,
     build_graph,
     dirac_source,
@@ -69,6 +70,29 @@ def test_laplacian_dimension_mismatch(k2):
         laplacian(k2, [1.0, 2.0, 3.0])
 
 
+def test_vertex_function_dtype(k2):
+    # real input of any kind becomes float64 as before; complex input stays
+    # complex, which is what lets the check suites take the complex step
+    for values in (np.array([1.0, 2.0]), [1, 2], True, "1.5", np.float64(2.0)):
+        assert as_vertex_function(k2, values).dtype == np.float64
+    assert as_vertex_function(k2, True).tolist() == [1.0, 1.0]
+    assert as_vertex_function(k2, "1.5").tolist() == [1.5, 1.5]
+    z = np.array([1.0 + 2.0j, 3.0])
+    assert as_vertex_function(k2, z).dtype == np.complex128
+    assert as_vertex_function(k2, 1j).tolist() == [1j, 1j]
+    # None becomes NaN, refused like any other non-finite entry
+    with pytest.raises(ValueError, match="non-finite entries"):
+        as_vertex_function(k2, [None, 1.0])
+    with pytest.raises(ValueError, match="non-finite entries"):
+        as_vertex_function(k2, [1j * np.inf, 0.0])
+    with pytest.raises(ValueError, match="non-finite entries"):
+        as_vertex_function(k2, "inf")
+    with pytest.raises(ValueError, match="could not convert string"):
+        as_vertex_function(k2, "one")
+    with pytest.raises(ValueError, match="length 3, graph has 2"):
+        as_vertex_function(k2, [1, 2, 3])
+
+
 def test_grad_form_k2(k2):
     assert np.allclose(grad_norm_sq(k2, [0.0, 1.0]), [0.5, 0.5])
 
@@ -84,6 +108,7 @@ def test_grad_form_symmetric(rng):
 def test_integrals(k2, p3_weighted):
     h = np.array([1.0, 3.0])
     assert integrate(k2, h) == pytest.approx(4.0)
+    assert type(integrate(k2, h)) is float
     assert average(k2, h) == pytest.approx(2.0)
     assert sup_norm(h) == pytest.approx(3.0)
     assert integrate(k2, np.zeros(2)) == 0.0

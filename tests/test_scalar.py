@@ -43,6 +43,13 @@ def test_model_validation(k2):
             fields = {"lam": 1.0, "f": np.ones(2), name: value}
             with pytest.raises(ValueError, match=f"{name} must be a number, got "):
                 ScalarModel(**fields)
+    # a source of the wrong length is named where it is read: a length-1 f
+    # was broadcast as a constant, a length-3 f failed inside numpy
+    for n in (1, 3):
+        m = ScalarModel(lam=-10.0, f=np.ones(n))
+        for fn in (residual, energy):
+            with pytest.raises(ValueError, match=f"vertex function has length {n}, graph has 2"):
+                fn(k2, m, np.zeros(2))
 
 
 def test_residual_zero_at_origin(k2):
@@ -108,6 +115,7 @@ def test_ipow_matches_loop_from_ones_bitwise():
 def test_energy_values(k2):
     m0 = ScalarModel(lam=3.0, f=np.zeros(2))
     assert energy(k2, m0, np.zeros(2)) == 0.0
+    assert type(energy(k2, m0, np.zeros(2))) is float
     m1 = ScalarModel(lam=3.0, f=np.array([0.4, -1.1]))
     assert energy(k2, m1, np.zeros(2)) == 0.0
     m2 = ScalarModel(lam=2.0, f=np.zeros(2))

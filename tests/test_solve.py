@@ -39,6 +39,23 @@ from cshlab.solve import (
 )
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_source_of_the_wrong_length_is_named(k2, n):
+    # a length-1 source used to act as a constant: 3 roots in (-69, 69) and a
+    # converged solve; the kernel reads it too, since a run over a box that
+    # the kernel excludes whole never calls the residual
+    m = ScalarModel(lam=-10.0, f=np.ones(n))
+    s = SystemModel(p=0.5, q=0.5, f=np.ones(n), g=np.ones(2))
+    calls = [lambda: enumerate_report(k2, m, box=(-69.0, 69.0)),
+             lambda: enumerate_report(k2, m, box=(5.0, 6.0), check_box=False),
+             lambda: enumerate_report(k2, s, box=(-3.0, 3.0), check_box=False),
+             lambda: solve_scalar(k2, m, 0.0),
+             lambda: residual(k2, m, np.zeros(2))]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"vertex function has length {n}, graph has 2"):
+            call()
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol_residual=0.0)

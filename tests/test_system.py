@@ -40,6 +40,13 @@ def test_model_validation(k2):
                 SystemModel(**fields)
     s = SystemModel(p=1.5, q=2.5, f=z, g=z)
     assert (s.two_p, s.two_q) == (3, 5)
+    # a source of the wrong length is named where it is read, not broadcast
+    for n in (1, 3):
+        for name in ("f", "g"):
+            s = SystemModel(**{"p": 0.5, "q": 0.5, "f": z, "g": z, name: np.ones(n)})
+            for fn in (residual_pair, functional_G):
+                with pytest.raises(ValueError, match=f"vertex function has length {n}, graph has 2"):
+                    fn(k2, s, z, z)
 
 
 def test_residual_zero_pair_at_origin(k2):
@@ -76,6 +83,7 @@ def test_functional_value_and_symmetry(k2, rng):
     u = np.array([0.0, 1.0])
     v = np.array([1.0, 0.0])
     assert functional_G(k2, s, u, v) == pytest.approx(-1.0, rel=1e-14)
+    assert type(functional_G(k2, s, u, v)) is float
     # swapping the pair is a symmetry when p = q and f = g
     f = rng.uniform(-1, 1, 2)
     s2 = SystemModel(p=1.5, q=1.5, f=f, g=f)

@@ -75,11 +75,7 @@ class ScalarModel:
         object.__setattr__(self, "p", int(p))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        f = np.ascontiguousarray(self.f, dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise ValueError("source f has non-finite entries")
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
+        _freeze_source(self, "f")
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,22 @@ def _refuse_bools(model, *names: str) -> None:
     for name in names:
         if isinstance(getattr(model, name), (bool, np.bool_)):
             raise ValueError(f"{name} must be a number, got {getattr(model, name)!r}")
+
+
+def _freeze_source(model, name: str) -> None:
+    """Store the source ``name`` of ``model`` as a read-only float array.
+
+    ValueError naming it when it is or holds a bool (numpy reads True as 1)
+    or has a non-finite entry.
+    """
+    value = getattr(model, name)
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError(f"source {name} must hold numbers, got {value!r}")
+    arr = np.ascontiguousarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"source {name} has non-finite entries")
+    arr.setflags(write=False)
+    object.__setattr__(model, name, arr)
 
 
 def _check_range(*arrays: np.ndarray) -> None:

@@ -37,12 +37,17 @@ The line search is safeguarded quadratic backtracking (Dennis and Schnabel,
 Alg. A6.3.1): each row tries t = 1 first, accepts the first t that passes
 the Armijo test (constant 1e-4) on the residual's sup norm, moves a failed
 t to the minimizer of a quadratic fit kept within [0.1 t, 0.5 t], and
-stalls when its next t falls below 1e-12.  The rows still searching share
-one stacked residual call per round (on the seed-0 system_homotopy
-benchmark pass, 6.56 M trial rows for 1.56 M Newton step rows).  A
-residual call gives rows outside the exp guard an infinite residual; a
-stack wholly inside it is evaluated without the mask.  Converged rows then take up to six
-full polish steps while the residual drops.  Row sup norms fold the short last axis
+stalls when its next t falls below 1e-12.  A trial outside the exp guard
+has an infinite residual, which moves t to 0.1 t, so while a row's trials
+leave the guard it walks the fixed ladder 1, 0.1, ..., 1e-12.  Each row
+starts at its first rung inside the guard instead (found by binary search;
+a row with none stalls at once), and every later trial, at a smaller t,
+stays inside: the skipped rounds would only have returned infinities.  The
+rows still searching share one stacked residual call per round (on the
+seed-0 system_homotopy benchmark pass, 6,157 rounds and 4.18 M trial rows
+for 1.56 M Newton step rows, where walking every rung took 9,956 rounds
+and 6.40 M trial rows).  Converged rows then take up to six full polish
+steps while the residual drops.  Row sup norms fold the short last axis
 column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
 its converged rows into the known roots with one greedy sup-norm dedup pass
 over both (known rows first, so a re-found root replaces a known one only
@@ -284,7 +289,13 @@ def _make_problem(g: WeightedGraph, model) -> _Problem:
 # batched damped Newton
 
 def _residual_rows(problem: _Problem, X: np.ndarray) -> np.ndarray:
-    """Residuals for rows inside the exp guard; +inf rows elsewhere."""
+    """Residuals for rows inside the exp guard; +inf rows elsewhere.
+
+    A stack wholly inside the guard is evaluated without the mask.  Newton's
+    starting points and polish steps and the cluster seeds go through here;
+    the line search calls the residual directly, since its trials all lie
+    inside.
+    """
     inb = sup_norm(X) <= EXP_GUARD
     if inb.all():  # no mask to fill, gather and scatter back
         return problem.residual(X)
@@ -339,8 +350,11 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
 # row status codes
 _RUNNING, _CONVERGED, _STALLED, _DIVERGED, _EXHAUSTED = 0, 1, 2, 3, 4
 
-# Armijo sufficient-decrease constant of the Newton line search
+# Armijo sufficient-decrease constant of the Newton line search, and the
+# step length below which a row's line search stalls
 _ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+
 # full Newton steps taken after convergence while the residual drops
 _POLISH_STEPS = 6
 
@@ -350,6 +364,45 @@ _POLISH_STEPS = 6
 # pass only the system audit fills chunks (a K2 slice: 4,802 seeds in one,
 # then 28,561 in two); degree_table's seven enumerations polish 64 rows.
 _CHUNK_ENTRIES = 2 ** 18
+
+
+def _guard_ladder() -> np.ndarray:
+    """The step lengths a line search tries while its trials leave the exp guard.
+
+    An infinite residual moves t to exactly ``0.1 * t``, so these are
+    1, 0.1 * 1, 0.1 * (0.1 * 1), ... down to the last one at or above
+    ``_MIN_STEP``: the loop's own floats, 13 of them.
+    """
+    t, ladder = 1.0, []
+    while t >= _MIN_STEP:
+        ladder.append(t)
+        t = 0.1 * t
+    return np.array(ladder)
+
+
+_LADDER = _guard_ladder()
+
+
+def _first_rungs_inside(base: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Per row, the index into ``_LADDER`` of the first trial ``base + t steps``
+    inside the exp guard; ``len(_LADDER)`` where every rung leaves it.
+
+    ``base`` lies inside the guard and ``base + steps`` (rung 0) outside.
+    Rounding is monotone, so each trial component moves monotonically away
+    from ``base`` as t grows: a row is outside exactly at the rungs above
+    some t*, and a binary search over the rungs finds its first one inside
+    in four passes over the rows, each with temporaries the size of ``base``.
+    """
+    lo = np.ones(len(base), dtype=np.intp)
+    hi = np.full(len(base), len(_LADDER))
+    live = np.arange(len(base))
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        inside = sup_norm(base[live] + _LADDER[mid][:, None] * steps[live]) <= EXP_GUARD
+        hi[live[inside]] = mid[inside]
+        lo[live[~inside]] = mid[~inside] + 1
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
 def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
@@ -371,8 +424,58 @@ def _newton_batch(problem: _Problem, seeds: np.ndarray, opts: SolveOptions):
     return tuple(np.concatenate(a) for a in zip(*outs))
 
 
+def _damped_step(problem: _Problem, X: np.ndarray, F: np.ndarray, nF: np.ndarray,
+                 status: np.ndarray, act: np.ndarray) -> None:
+    """One damped Newton step for the rows ``act`` of ``X``, writing ``X``,
+    ``F``, ``nF`` and ``status`` in place; its temporaries, as large as the
+    chunk, are freed before the next step builds its Jacobian stack.
+
+    The line search starts a row at the first rung of ``_LADDER`` whose
+    trial lies inside the exp guard (rung 0, t = 1, for most rows), which
+    is where walking the ladder would bring it: the same trials are
+    evaluated, bit for bit, minus the ones outside the guard.
+    """
+    steps, bad = _newton_steps(problem, X[act], F[act])
+    status[act[bad]] = _DIVERGED
+    # a failed t moves to the minimizer of the quadratic through phi(0),
+    # slope -phi(0) and phi(t), clipped to [0.1 t, 0.5 t]; only an
+    # accepted trial writes X, F and nF, so rows still searching keep
+    # their base values there
+    rows, steps = act[~bad], steps[~bad]
+    trial = X[rows] + steps  # t = 1 (1.0 * steps is steps, bit for bit)
+    t = np.ones(rows.size)
+    # rows whose full step leaves the guard start at their first rung
+    # inside it; rows with none stall at once, as the rounds would
+    out = np.flatnonzero(~(sup_norm(trial) <= EXP_GUARD))
+    if out.size:
+        rung = _first_rungs_inside(X[rows[out]], steps[out])
+        stall = rung == len(_LADDER)
+        status[rows[out[stall]]] = _STALLED
+        moved = out[~stall]
+        t[moved] = _LADDER[rung[~stall]]
+        trial[moved] = X[rows[moved]] + t[moved, None] * steps[moved]
+        if stall.any():
+            rows, steps, t, trial = (np.delete(a, out[stall], axis=0)
+                                     for a in (rows, steps, t, trial))
+    # every later t is below the start, so every trial stays inside the
+    # guard and needs no mask (problem.residual raises, should one not)
+    while rows.size:
+        Ft = problem.residual(trial)
+        nFt = _norms(Ft)
+        phi0 = nF[rows]
+        ok = nFt <= (1.0 - _ARMIJO * t) * phi0
+        X[rows[ok]], F[rows[ok]], nF[rows[ok]] = trial[ok], Ft[ok], nFt[ok]
+        rows, steps, t, phi0, phi = rows[~ok], steps[~ok], t[~ok], phi0[~ok], nFt[~ok]
+        t = np.clip(0.5 * phi0 * t * t / (phi - phi0 + phi0 * t), 0.1 * t, 0.5 * t)
+        go = t >= _MIN_STEP
+        status[rows[~go]] = _STALLED
+        rows, steps, t = rows[go], steps[go], t[go]
+        trial = X[rows] + t[:, None] * steps
+
+
 def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
-    """Damped Newton on every row of ``X`` at once, updating ``X`` in place."""
+    """Damped Newton on every row of ``X`` at once, updating ``X`` in place:
+    each iteration moves the running rows by one :func:`_damped_step`."""
     N = len(X)
     F = _residual_rows(problem, X)
     nF = _norms(F)
@@ -393,26 +496,7 @@ def _newton_chunk(problem: _Problem, X: np.ndarray, opts: SolveOptions):
         act = np.nonzero(status == _RUNNING)[0]
         if act.size == 0:
             break
-        steps, bad = _newton_steps(problem, X[act], F[act])
-        status[act[bad]] = _DIVERGED
-        # a failed t moves to the minimizer of the quadratic through phi(0),
-        # slope -phi(0) and phi(t), clipped to [0.1 t, 0.5 t] (an infinite
-        # phi(t) gives 0.1 t); only an accepted trial writes X, F and nF, so
-        # rows still searching keep their base values there
-        rows, steps = act[~bad], steps[~bad]
-        t = np.ones(rows.size)
-        while rows.size:
-            trial = X[rows] + t[:, None] * steps
-            Ft = _residual_rows(problem, trial)
-            nFt = _norms(Ft)
-            phi0 = nF[rows]
-            ok = nFt <= (1.0 - _ARMIJO * t) * phi0
-            X[rows[ok]], F[rows[ok]], nF[rows[ok]] = trial[ok], Ft[ok], nFt[ok]
-            rows, steps, t, phi0, phi = rows[~ok], steps[~ok], t[~ok], phi0[~ok], nFt[~ok]
-            t = np.clip(0.5 * phi0 * t * t / (phi - phi0 + phi0 * t), 0.1 * t, 0.5 * t)
-            go = t >= 1e-12
-            status[rows[~go]] = _STALLED
-            rows, steps, t = rows[go], steps[go], t[go]
+        _damped_step(problem, X, F, nF, status, act)
     status[(status == _RUNNING) & (nF <= opts.tol_residual)] = _CONVERGED
     status[status == _RUNNING] = _EXHAUSTED
 

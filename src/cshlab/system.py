@@ -39,7 +39,7 @@ from .graphs import (
     spectral_gap,
     sup_norm,
 )
-from .scalar import _check_range, _ipow, _refuse_bools
+from .scalar import _check_range, _freeze_source, _ipow, _refuse_bools
 
 __all__ = [
     "SystemModel",
@@ -77,12 +77,8 @@ class SystemModel:
         object.__setattr__(self, "q", _half_integer(self.q, "q"))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        for name in ("f", "g"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"source {name} has non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_source(self, "f")
+        _freeze_source(self, "g")
 
     @property
     def two_p(self) -> int:

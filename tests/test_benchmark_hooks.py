@@ -51,3 +51,7 @@ def test_traced_case_reaches_every_guarded_counter(workload):
         # the line search's cost: trial residual rows per Jacobian row (the
         # quadratic backtracking reads 2.80 here, halving t each round 7.28)
         assert metrics["system.residual_pair.rows"] <= 4 * metrics["system.jacobian_system.rows"]
+        # and in calls: each line search starts its rows at their first trial
+        # inside the exp guard (6.7 calls per Jacobian call here; walking
+        # the guard's 0.1 t ladder in lock-step rounds read 10.1)
+        assert metrics["system.residual_pair.calls"] <= 8 * metrics["system.jacobian_system.calls"]

@@ -11,6 +11,7 @@ the arithmetic is the same, within rounding where the kernel takes products
 in midpoint-radius form.
 """
 
+import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
@@ -91,14 +92,21 @@ def test_certified_degree_matches_grid(name, lam, fbar, jitter):
 def test_certified_polish_never_backtracks(monkeypatch):
     # every Newton or polish step of a certified run accepts the full step
     # in its first residual round, so a change to the line search's
-    # backtracking cannot move a certified root, degree or threshold
+    # backtracking cannot move a certified root, degree or threshold; the
+    # spy sits on the problem's residual, which the line search calls
+    # without ``_residual_rows``
     calls = []
-    real_rows, real_steps, real_chunk = (solve_mod._residual_rows, solve_mod._newton_steps,
-                                         solve_mod._newton_chunk)
+    real_problem, real_steps, real_chunk = (solve_mod._scalar_problem, solve_mod._newton_steps,
+                                            solve_mod._newton_chunk)
 
-    def rows_spy(problem, X):
-        calls.append("r")
-        return real_rows(problem, X)
+    def problem_spy(g, m):
+        problem = real_problem(g, m)
+
+        def residual_spy(X):
+            calls.append("r")
+            return problem.residual(X)
+
+        return dataclasses.replace(problem, residual=residual_spy)
 
     def steps_spy(problem, X, F):
         calls.append("s")
@@ -108,7 +116,7 @@ def test_certified_polish_never_backtracks(monkeypatch):
         calls.append("C")
         return real_chunk(problem, X, opts)
 
-    monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
+    monkeypatch.setattr(solve_mod, "_scalar_problem", problem_spy)
     monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
     monkeypatch.setattr(solve_mod, "_newton_chunk", chunk_spy)
     for name in ("P3", "C4", "K5"):

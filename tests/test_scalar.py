@@ -43,6 +43,11 @@ def test_model_validation(k2):
             fields = {"lam": 1.0, "f": np.ones(2), name: value}
             with pytest.raises(ValueError, match=f"{name} must be a number, got "):
                 ScalarModel(**fields)
+    # nor a source entry: f = [True, False] was built as the source [1, 0]
+    for value in ([True, False], np.array([True, False]), [1.0, np.True_], True):
+        with pytest.raises(ValueError, match="source f must hold numbers, got "):
+            ScalarModel(lam=-10.0, f=value)
+    assert ScalarModel(lam=-10.0, f=[1, 0.5]).f.tolist() == [1.0, 0.5]
     # a source of the wrong length is named where it is read: a length-1 f
     # was broadcast as a constant, a length-3 f failed inside numpy
     for n in (1, 3):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -704,7 +705,8 @@ def _newton_batch_sequential(problem, seeds, opts, stats):
     # the Newton driver with the line search run one row at a time in plain
     # floats, kept as the reference for the batched quadratic backtracking;
     # ``stats`` records what the line search met.  Residuals go through
-    # ``solve_mod._residual_rows``, so a spy sees every point evaluated.
+    # ``solve_mod._residual_rows``, which hands ``problem.residual`` only the
+    # points inside the exp guard.
     X = np.array(seeds, dtype=float)
     N = len(X)
     F = solve_mod._residual_rows(problem, X)
@@ -804,26 +806,36 @@ def _squash_seeds(seed):
     return seeds[rng.permutation(len(seeds))]
 
 
+def _residual_spy(problem):
+    # ``problem`` with a residual that records each batch's size, every point
+    # it evaluates and how many of them lie outside the exp guard
+    seen = {"calls": [], "points": [], "outside": 0}
+
+    def res(X):
+        seen["calls"].append(("rows", len(X)))
+        seen["points"].extend(row.tobytes() for row in X)
+        seen["outside"] += int(np.count_nonzero(~(sup_norm(X) <= EXP_GUARD)))
+        return problem.residual(X)
+
+    return dataclasses.replace(problem, residual=res), seen
+
+
 def test_batched_line_search_matches_row_by_row_backtracking(monkeypatch):
     # record each residual batch and every point it evaluates; a Newton step
-    # opens with its full-step round, and no later round of that step may
-    # hold more rows
-    calls, points = [], []
-    real_rows, real_steps = solve_mod._residual_rows, solve_mod._newton_steps
-
-    def rows_spy(problem, X):
-        calls.append(("rows", len(X)))
-        points.extend(row.tobytes() for row in X)
-        return real_rows(problem, X)
+    # opens with one round that holds every row not stalled at once (each at
+    # its first trial inside the exp guard), and no later round of that step
+    # may hold more rows
+    real_steps = solve_mod._newton_steps
+    problem, seen = _residual_spy(_squash_problem())
+    calls = seen["calls"]
 
     def steps_spy(problem, X, F):
         calls.append(("step", len(X)))
         return real_steps(problem, X, F)
 
-    monkeypatch.setattr(solve_mod, "_residual_rows", rows_spy)
     monkeypatch.setattr(solve_mod, "_newton_steps", steps_spy)
     seeds = _squash_seeds(11)
-    problem, opts = _squash_problem(), SolveOptions()
+    opts = SolveOptions()
 
     stats = {"accepted_t": set(), "stalls": 0, "guard_exits": 0}
     expected = _newton_batch_sequential(problem, seeds, opts, stats)
@@ -832,16 +844,19 @@ def test_batched_line_search_matches_row_by_row_backtracking(monkeypatch):
     assert 1.0 in stats["accepted_t"] and len(stats["accepted_t"]) >= 6
     assert 1e-12 <= min(stats["accepted_t"]) < 1e-9
     assert stats["stalls"] >= 13 and stats["guard_exits"] > 0
-    expected_points = sorted(points)
+    expected_points = sorted(seen["points"])
 
     calls.clear()
-    points.clear()
+    seen["points"].clear()
     got = _newton_batch(problem, seeds, opts)
     assert len(got) == len(expected) == 3
     for name, a, b in zip(("X", "nF", "status"), got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    # every trial step length, not only the outcome, is the reference's
-    assert sorted(points) == expected_points
+    # every evaluated trial is the reference's: the trials outside the exp
+    # guard, which the reference masks, are skipped, and no round hands the
+    # residual a row outside the guard
+    assert sorted(seen["points"]) == expected_points
+    assert seen["outside"] == 0
 
     full_round = None
     for kind, size in calls:
@@ -851,6 +866,59 @@ def test_batched_line_search_matches_row_by_row_backtracking(monkeypatch):
             full_round = size
         else:
             assert size <= full_round
+
+
+def _ladder_problem():
+    # _squash_problem with the x0 column of the Jacobian scaled by 10**-k on
+    # rows marked x1 = 1 + k / 32, k = 2..16: there x0 = 0.5 steps by about
+    # -0.75 * 10**k, and its first trial inside the exp guard is the rung
+    # 10**-(k - 2) of the line search's ladder 1, 0.1, ..., 1e-12; at k = 15
+    # and 16 the step exceeds 700 / 1e-12 and no rung is inside
+    base = _squash_problem()
+
+    def jac(X):
+        J = base.jacobian(X)
+        k = 32.0 * (X[:, 1] - 1.0)
+        mark = (k == np.rint(k)) & (k >= 2.0) & (k <= 16.0)
+        J[mark, 0, 0] *= 10.0 ** -k[mark]
+        return J
+
+    return dataclasses.replace(base, jacobian=jac)
+
+
+def test_line_search_starts_at_the_first_rung_inside_the_guard():
+    # each rung of the ladder is some row's first trial inside the guard,
+    # and some rows have none; the batched run, which starts each row there,
+    # is bit for bit the row-by-row reference that walks every rung
+    problem, seen = _residual_spy(_ladder_problem())
+    rng = np.random.default_rng(5)
+    k = np.repeat(np.arange(2, 17), 2)
+    marked = np.column_stack([0.5 + rng.uniform(0.0, 0.05, k.size), 1.0 + k / 32.0])
+    seeds = np.vstack([marked, _squash_seeds(12)])
+    seeds = seeds[rng.permutation(len(seeds))]
+
+    steps, bad = _newton_steps(problem, seeds, problem.residual(seeds))
+    assert not bad.any()
+    first = set()
+    for x, d in zip(seeds, steps):
+        t, rung = 1.0, 0
+        while t >= 1e-12 and np.abs(x + t * d).max() > EXP_GUARD:
+            t, rung = 0.1 * t, rung + 1
+        first.add(rung)
+    assert first == set(range(14))
+
+    opts = SolveOptions()
+    stats = {"accepted_t": set(), "stalls": 0, "guard_exits": 0}
+    seen["points"].clear()
+    expected = _newton_batch_sequential(problem, seeds, opts, stats)
+    assert stats["guard_exits"] > 100
+    expected_points = sorted(seen["points"])
+    seen["points"].clear()
+    got = _newton_batch(problem, seeds, opts)
+    for name, a, b in zip(("X", "nF", "status"), got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert sorted(seen["points"]) == expected_points
+    assert seen["outside"] == 0
 
 
 def _c4_seeds():

@@ -38,6 +38,12 @@ def test_model_validation(k2):
             fields = {"p": 0.5, "q": 0.5, "f": z, "g": z, name: value}
             with pytest.raises(ValueError, match=f"{name} must be a number, got "):
                 SystemModel(**fields)
+    # nor a source entry: f = [True, False] was built as the source [1, 0]
+    for name in ("f", "g"):
+        for value in ([True, False], np.array([True, False]), [1.0, np.True_], True):
+            fields = {"p": 0.5, "q": 0.5, "f": z, "g": z, name: value}
+            with pytest.raises(ValueError, match=f"source {name} must hold numbers, got "):
+                SystemModel(**fields)
     s = SystemModel(p=1.5, q=2.5, f=z, g=z)
     assert (s.two_p, s.two_q) == (3, 5)
     # a source of the wrong length is named where it is read, not broadcast

@@ -246,7 +246,12 @@ def homotopy_audit(
     ``ValueError`` (no slice, no degree).  Each slice's degree and roots are
     summed over the ball as :func:`degree_by_enumeration` sums them.  The
     system's a priori ball holds for every sigma, so a radius smaller than it
-    earns one warning per audit."""
+    earns one warning per audit.  The sigma = 0 slice goes first to the
+    integral test of :func:`~cshlab.solve.enumerate_report`; where that
+    proves it rootless (on K2 with f = g = 1, over the whole ball), its
+    enumeration is certified in one box with no seeds and
+    ``sigma_zero_empty`` is proved, not found by search.  A ball so wide that
+    the float column sums of -L outweigh the source integral is searched."""
     if average(g, model.f) <= 0.0 or average(g, model.g) <= 0.0:
         raise ValueError("homotopy audit requires mean(f) > 0 and mean(g) > 0")
     sigma_grid = [float(sigma) for sigma in sigma_grid]

@@ -46,16 +46,19 @@ exactly from the endpoints and that minimum.  The Jacobian's diagonal term
 ``lam t g'(t) = lam t (t - sigma)^(2p-2) (2p t - sigma)`` uses the natural
 interval extension of that product.
 
-:class:`ScalarKernel` is the one entry point.  It holds everything that does
-not depend on the boxes for one graph and one scalar model: -L, |-L| scaled
-by G and by gamma, the rounding constants above, the mu-weighted column sums of
--L and the enclosure of int f dmu used by the integral test, the enclosures
-of sigma/(2p) and of g's minimum there, the exponents 2p - 1 and 2p - 2 and
-the identity; branch and prune builds one per enumeration.  Inside it every
+:class:`ScalarKernel` is the one entry point for stacks of boxes.  It holds
+everything that does not depend on the boxes for one graph and one scalar
+model: -L, |-L| scaled by G and by gamma, the rounding constants above, the
+mu-weighted column sums of -L and the enclosure of int f dmu used by the
+integral test (:func:`integral_enclosures`), the enclosures of sigma/(2p)
+and of g's minimum there, the exponents 2p - 1 and 2p - 2 and the identity;
+branch and prune builds one per enumeration.  Inside it every
 interval array is a (2, ...) stack too, so the two bounds, both endpoints of
 g and all terms of a sum share each numpy call.  The point Jacobian J(c) at
 the box midpoints is the scalar model's own (:func:`~cshlab.scalar.jacobian`
-without its range check).
+without its range check).  :func:`linear_integral_lower` bounds the integral
+test's linear part, ``int f dmu + sum_y c_y u_y``, over one box; the
+system's sigma = 0 proof in :mod:`~cshlab.solve` rests on it.
 
 :meth:`ScalarKernel.krawczyk` evaluates the Krawczyk operator (R. Krawczyk,
 Computing 4, 1969; Moore, Kearfott and Cloud, Introduction to Interval
@@ -70,7 +73,7 @@ import numpy as np
 from .graphs import WeightedGraph, as_vertex_function
 from .scalar import ScalarModel, _jacobian_exp
 
-__all__ = ["ScalarKernel"]
+__all__ = ["ScalarKernel", "integral_enclosures", "linear_integral_lower"]
 
 # ulps by which exp is widened on each side
 _EXP_ULPS = 4
@@ -155,6 +158,30 @@ def _exp_bounds(T):
     return T
 
 
+def integral_enclosures(g: WeightedGraph, f: np.ndarray):
+    """Enclosures of the integral test's constants: ``(col_sums, f_integral)``.
+
+    ``col_sums[:, y]`` encloses ``c_y = sum_x mu(x) (-L)[x, y]`` and
+    ``f_integral`` encloses ``int f dmu`` for the vertex function ``f``, so
+    ``sum_x mu(x) (-L u + f)(x) = sum_y c_y u_y + int f dmu`` holds exactly
+    for the float matrix -L.  The c_y vanish for the exact Laplacian but need
+    not for the float one.
+    """
+    with np.errstate(all="ignore"):
+        return _sum_last(_widen(g.mu * g.neg_laplacian_matrix().T)), _sum_last(_widen(g.mu * f))
+
+
+def linear_integral_lower(g: WeightedGraph, f: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray) -> float:
+    """Outward-rounded lower bound of ``sum_x mu(x) (-L u + f)(x)`` over the box
+    [lo, hi]: of ``int f dmu + sum_y c_y [lo_y, hi_y]`` (:func:`integral_enclosures`).
+    A bound that overflows reads -inf or NaN, neither of them at or above 0.
+    """
+    col_sums, f_integral = integral_enclosures(g, f)
+    with np.errstate(all="ignore"):
+        return float(_out(_sum_last(_mul(col_sums, np.array((lo, hi)))) + f_integral)[0])
+
+
 def _matvec(P, x):
     """Point products ``P x``, one per box: P is (n, n) or (B, n, n), x is (B, n)."""
     return np.matmul(P, x[..., None])[..., 0]
@@ -186,10 +213,8 @@ class ScalarKernel:
         self.two_p = 2 * m.p
         self.k_g, self.k_d = 2 * m.p - 1, 2 * m.p - 2
         self.eye = np.eye(g.ell)
+        self.col_sums, self.f_integral = integral_enclosures(g, self.f)
         with np.errstate(all="ignore"):
-            # sum_x mu(x) (-L)[x, y], one column y per entry
-            self.col_sums = _sum_last(_widen(self.mu * self.A.T))
-            self.f_integral = _sum_last(_widen(self.mu * self.f))
             # where g takes its minimum, enclosed one ulp outward, and g's lower bound there
             self.c = _widen(np.array(m.sigma / (2 * m.p)))
             self.g_min = _mul(self.c, _ipow(_out(self.c - m.sigma), self.k_g))[0]

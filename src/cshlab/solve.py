@@ -14,11 +14,17 @@ nondegenerate; ``seed_cap`` also caps the number of boxes processed, and
 the box must be finite.  This is the only scalar enumeration that the
 degree, continuation, check and command-line layers run.
 
-The system model seeds Newton from grids instead, at the resolution
-:func:`default_grid_n` picks for its dimension; a grid whose refinement by
-doubling finds no new root is declared stable (empirical completeness).
-Only :func:`enumerate_report` takes a ``grid_n`` (on a scalar model, the
-reference the certified path is tested against).
+A system at sigma = 0 is first put to the integral test (Huang et al.,
+Comm. Math. Phys. 377, 2020): both nonlinearities are positive there, so the
+slice is rootless wherever ``int f dmu + sum_y c_y [lo_y, hi_y]``, with c_y
+the mu-weighted column sums of -L, has an outward-rounded lower bound at or
+above 0 over the u half of a finite box, or the same with g over the v half.
+Such a slice is reported certified in one box with no seeds, and
+``seed_cap`` does not apply to it.  Every other system run seeds Newton from
+grids, at the resolution :func:`default_grid_n` picks for its dimension; a
+grid whose refinement by doubling finds no new root is declared stable
+(empirical completeness).  Only :func:`enumerate_report` takes a ``grid_n``
+(on a scalar model, the reference the certified path is tested against).
 
 The workhorse is a damped Newton iteration with Armijo backtracking that runs
 on whole batches of seeds at once (a K2 system slice: 4,802 grid seeds, then
@@ -28,7 +34,7 @@ with the seed count as O(seeds n), not O(seeds n^2).
 Each Newton step is one stacked linear solve per chunk; when a singular
 Jacobian makes it fail, the sign of the LU determinant picks out the singular
 rows, the rest are solved in one stacked call again and each singular row
-takes its own least-squares step, one ``lstsq`` call per row (53,590 calls
+takes its own least-squares step, one ``lstsq`` call per row (2,216 calls
 on the seed-0 system_homotopy benchmark pass).  A row's step thus depends on
 its own row alone; only the residual's matrix product, in its last bits,
 couples the rows of a batch.
@@ -44,9 +50,9 @@ starts at its first rung inside the guard instead (found by binary search;
 a row with none stalls at once), and every later trial, at a smaller t,
 stays inside: the skipped rounds would only have returned infinities.  The
 rows still searching share one stacked residual call per round (on the
-seed-0 system_homotopy benchmark pass, 6,157 rounds and 4.18 M trial rows
-for 1.56 M Newton step rows, where walking every rung took 9,956 rounds
-and 6.40 M trial rows).  Converged rows then take up to six full polish
+seed-0 system_homotopy benchmark pass, 5,254 rounds and 3.93 M trial rows
+for 1.38 M Newton step rows, where walking every rung took 8,109 rounds
+and 5.68 M trial rows).  Converged rows then take up to six full polish
 steps while the residual drops.  Row sup norms fold the short last axis
 column by column (:func:`~cshlab.graphs.sup_norm`).  Each grid level merges
 its converged rows into the known roots with one greedy sup-norm dedup pass
@@ -79,7 +85,7 @@ import numpy as np
 
 from . import interval
 from .errors import SolverError
-from .graphs import WeightedGraph, solve_poisson, sup_norm
+from .graphs import WeightedGraph, as_vertex_function, solve_poisson, sup_norm
 from .scalar import (
     EXP_GUARD,
     ScalarModel,
@@ -321,8 +327,8 @@ def _newton_steps(problem: _Problem, X: np.ndarray, F: np.ndarray):
     call.  Each singular row takes a least-squares step from its own
     ``lstsq`` call with a 1-D right-hand side, so its step does not depend
     on the other rows of the stack.  On the seed-0 system_homotopy benchmark
-    pass LU met a zero pivot 199 times, and the 53,590 singular rows took
-    53,590 calls.
+    pass LU met a zero pivot 79 times, and the 2,216 singular rows took
+    2,216 calls.
     """
     J = problem.jacobian(X)
     steps = np.full_like(F, np.nan)
@@ -361,8 +367,10 @@ _POLISH_STEPS = 6
 # Jacobian entries per Newton chunk: 2**18 float64 entries are 2 MiB, e.g.
 # 16,384 rows at n = 4.  Each chunk runs as many rounds as its slowest row,
 # so small chunks repeat the per-round overhead.  On the seed-0 benchmark
-# pass only the system audit fills chunks (a K2 slice: 4,802 seeds in one,
-# then 28,561 in two); degree_table's seven enumerations polish 64 rows.
+# pass only the system audit fills chunks: each of the four K2 slices with
+# sigma > 0 runs 4,802 seeds in one, then 28,561 in two, 12 chunks in all
+# (the sigma = 0 slice is proved without seeds); degree_table's seven
+# enumerations polish 64 rows.
 _CHUNK_ENTRIES = 2 ** 18
 
 
@@ -595,7 +603,9 @@ class EnumerationReport:
     by Newton; ``boxes`` counts the boxes it processed and ``unresolved`` the
     boxes it could neither exclude nor include.  ``certified`` is True only
     for a branch-and-prune run that left no box unresolved and classified
-    every root as nondegenerate.  A grid run
+    every root as nondegenerate, or for a sigma = 0 system slice that the
+    integral test proves rootless: that run reports no roots, one box, no
+    unresolved box, no seeds and no grid levels.  A grid run
     reports its seed levels and refinement stability, with ``certified``
     False and no boxes.
     """
@@ -722,7 +732,10 @@ def enumerate_report(
     comes from Newton polishing a box that provably holds one or an
     unresolved region; its box must be finite (``ValueError`` otherwise).
 
-    With ``grid_n``, and always for the system model (resolution
+    A system at sigma = 0 whose slice the integral test proves rootless
+    (:func:`_sigma_zero_rootless`) returns before any seed is built, so
+    ``seed_cap`` does not apply to it: a certified report in one box.
+    Otherwise, with ``grid_n``, and always for the system model (resolution
     :func:`default_grid_n` without one), seeds come in three families: a
     uniform grid over the box (the box net, base level only), a grid over ``_CORE_WINDOW`` where the nonlinearity actually turns (the
     core grid) and the exact constant roots inside the box when available
@@ -753,6 +766,9 @@ def enumerate_report(
     level = grid_n if grid_n is not None else default_grid_n(problem.n, problem.pair)
     if level < 2:
         raise ValueError("grid_n must be at least 2")
+    if isinstance(model, SystemModel) and _sigma_zero_rootless(g, model, lo, hi):
+        return EnumerationReport(roots=[], box=(lo, hi), grid_levels=[], stable=True,
+                                 seeds_used=0, certified=True, boxes=1, unresolved=0)
     # known roots as parallel arrays: points and residual norms
     known = [np.empty((0, problem.n)), np.empty(0)]
     levels: list[int] = []
@@ -797,6 +813,26 @@ def enumerate_report(
         stable=stable,
         seeds_used=seeds_used,
     )
+
+
+def _sigma_zero_rootless(g: WeightedGraph, s: SystemModel, lo: np.ndarray,
+                         hi: np.ndarray) -> bool:
+    """True when the integral identity proves the system rootless in the finite
+    box [lo, hi]; only a sigma = 0 system qualifies.
+
+    At sigma = 0 the nonlinearities are ``N1 = 2q e^(2pu+2qv)`` and
+    ``N2 = 2p e^(2pu+2qv)``, positive at every point, so
+    ``sum_x mu(x) R1(u, v)(x) = int N1 dmu + sum_x mu(x) (-L u + f)(x)`` is
+    positive wherever the last term's lower bound over the u half of the box
+    (:func:`~cshlab.interval.linear_integral_lower`) is at or above 0, and
+    likewise R2 with g over the v half (Huang et al., Comm. Math. Phys. 377,
+    2020).
+    """
+    if s.sigma != 0.0 or not np.all(np.isfinite([lo, hi])):
+        return False
+    ell, lower = g.ell, interval.linear_integral_lower
+    return (lower(g, as_vertex_function(g, s.f), lo[:ell], hi[:ell]) >= 0.0
+            or lower(g, as_vertex_function(g, s.g), lo[ell:], hi[ell:]) >= 0.0)
 
 
 def _in_box(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> np.ndarray:

@@ -74,10 +74,13 @@ def test_c02_system_degree_zero():
     import dataclasses
 
     s0 = dataclasses.replace(s, sigma=0.0)
-    roots0 = enumerate_report(g, s0, box=(-bound.bound, bound.bound)).roots
-    ok = rep.computed_degree == 0 and len(roots0) == 0
+    # the sigma = 0 slice is proved rootless over the whole ball, in one box
+    rep0 = enumerate_report(g, s0, box=(-bound.bound, bound.bound))
+    ok = (rep.computed_degree == 0 and not rep0.roots and rep0.certified
+          and rep0.boxes == 1)
     _report(2, "system degree zero", ok,
-            f"degree={rep.computed_degree}, sigma0_roots={len(roots0)}")
+            f"degree={rep.computed_degree}, sigma0_roots={len(rep0.roots)}, "
+            f"sigma0_certified={rep0.certified}, sigma0_boxes={rep0.boxes}")
 
 
 def test_c03_homotopy_invariance():
@@ -86,9 +89,11 @@ def test_c03_homotopy_invariance():
     bound = apriori_bound_system(g, s, Lambda1=2.0, Lambda2=1.0)
     audit = homotopy_audit(g, s, [0.0, 0.25, 0.5, 0.75, 1.0], bound.bound)
     margins_ok = all(sl.min_margin is None or sl.min_margin > 0.0 for sl in audit.slices)
-    ok = audit.degree_constant and not audit.bound_violation and margins_ok
+    # sigma_zero_empty is proved: the sigma = 0 slice is certified rootless
+    zero_proved = audit.sigma_zero_empty is True and audit.slices[0].enumeration.certified
+    ok = audit.degree_constant and not audit.bound_violation and margins_ok and zero_proved
     _report(3, "homotopy invariance across sigma grid", ok,
-            f"degrees={[sl.degree for sl in audit.slices]}")
+            f"degrees={[sl.degree for sl in audit.slices]}, sigma0_proved={zero_proved}")
 
 
 def test_c04_multiplicity_three_even():

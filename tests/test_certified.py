@@ -31,6 +31,7 @@ from cshlab import (
     enumerate_report,
     estimate_threshold,
     path_graph,
+    random_connected_graph,
 )
 import cshlab.solve as solve_mod
 from cshlab import interval
@@ -294,6 +295,31 @@ def test_krawczyk_encloses_its_exact_point_images(centre, scale):
                     assert not (np.isfinite(hi_i) and image[i] > Fraction(hi_i)), (m, centre, b)
                     checked += not np.isnan(lo_i) and not np.isnan(hi_i)
     assert checked or centre == 700.0
+
+
+def test_linear_integral_lower_bounds_its_exact_value():
+    # int f dmu + sum_y c_y [lo_y, hi_y], c_y = sum_x mu(x) (-L)[x, y], in exact
+    # rational arithmetic over the float mu, -L and f: the bound lies at or
+    # below it, within a few ulps of the magnitudes it sums
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=6)
+        f = rng.uniform(-2.0, 2.0, g.ell)
+        lo = -rng.uniform(0.0, 1e3, g.ell)
+        hi = rng.uniform(0.0, 1e3, g.ell)
+        mu, A = _exact(g.mu), _exact(g.neg_laplacian_matrix())
+        c = mu.dot(A)
+        exact = mu.dot(_exact(f)) + sum(min(cy * Fraction(a), cy * Fraction(b))
+                                        for cy, a, b in zip(c, lo, hi))
+        bound = interval.linear_integral_lower(g, f, lo, hi)
+        assert Fraction(bound) <= exact
+        scale = (np.abs(g.mu * f).sum()
+                 + (np.abs(g.mu[:, None] * g.neg_laplacian_matrix()) * np.maximum(-lo, hi)).sum())
+        assert exact - Fraction(bound) <= 1e-14 * scale
+    # an overflowing term is no bound at all, and a box bound of +-inf neither
+    k2 = complete_graph(2)
+    assert interval.linear_integral_lower(k2, np.ones(2), np.full(2, -1e308), np.full(2, 1e308)) < 0.0
+    assert interval.linear_integral_lower(k2, np.ones(2), np.array([-np.inf, 0.0]), np.ones(2)) < 0.0
 
 
 def test_kernel_centre_inverts_the_scalar_jacobian(monkeypatch):

@@ -167,9 +167,12 @@ def test_records_share_the_enumeration_evidence(tmp_path, k2_path, capsys, monke
     })
     code, records = _run(["system", "--graph", k2_path, "--config", system], capsys)
     slices = records[1]["slices"]
-    assert code == 0 and len(slices) == 2
-    for s in slices:
-        assert EVIDENCE <= set(s) and s["grid_levels"] == [7] and s["certified"] is False
+    assert code == 0 and len(slices) == 2 and all(EVIDENCE <= set(s) for s in slices)
+    # sigma = 0 is proved rootless by the integral identity, in one box and no seeds
+    proved, searched = slices
+    assert (proved["certified"], proved["boxes"], proved["seeds_used"], proved["grid_levels"]) \
+        == (True, 1, 0, [])
+    assert searched["grid_levels"] == [7] and searched["certified"] is False
 
 
 def test_sweep_csv(tmp_path, k2_path, capsys):
@@ -491,10 +494,11 @@ def test_failing_system_audit_writes_no_record(tmp_path, k2_path, capsys):
     # solver failure left it alone on stdout and in the --out file
     out_path = tmp_path / "results.jsonl"
     out_path.write_text('{"kind": "earlier run"}\n')
+    # the sigma = 0 slice is proved without seeds; the sigma = 1 slice fails
     cfg = _write_config(tmp_path, {
         "model": "system", "parameters": {"p": 0.5, "q": 0.5},
         "source": {"f": {"constant": 1.0}, "g": {"constant": 1.0}},
-        "system": {"sigma_grid": [0.0]},
+        "system": {"sigma_grid": [0.0, 1.0]},
         "tolerances": {"seed_cap": 10},
     })
     assert main(["system", "--graph", k2_path, "--config", cfg]) == 3

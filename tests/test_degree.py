@@ -201,8 +201,12 @@ def test_reports_hold_their_enumeration(k2, monkeypatch):
     with pytest.warns(UserWarning, match=MANUFACTURED_BALL):
         audit = homotopy_audit(k2, s, [0.0, 1.0], radius=12.0)
     for sl in audit.slices:
-        assert sl.enumeration.grid_levels == [7] and sl.enumeration.box[1][0] == 12.0
+        assert sl.enumeration.box[1][0] == 12.0
         assert len(sl.roots) <= len(sl.enumeration.roots)
+    # both source means are positive: sigma = 0 is proved rootless in one box
+    proved, searched = (sl.enumeration for sl in audit.slices)
+    assert proved.certified and proved.boxes == 1 and proved.grid_levels == []
+    assert searched.grid_levels == [7] and not searched.certified
 
 
 def test_manufactured_system_degree_cancels(k2):

@@ -13,11 +13,14 @@ from cshlab import (
     SystemModel,
     apriori_bound_system,
     apriori_radius,
+    build_graph,
+    complete_graph,
     constant_solutions,
     cycle_graph,
     enumerate_report,
     jacobian,
     morse_data,
+    path_graph,
     residual,
     solve_scalar,
     solve_system,
@@ -196,8 +199,6 @@ def test_enumerate_per_axis_box(k2):
 
 
 def test_enumerate_five_vertex_graph():
-    from cshlab import path_graph
-
     g = path_graph(5)
     m = ScalarModel(lam=-10.0, f=np.ones(5))
     from cshlab import degree_by_enumeration
@@ -376,6 +377,96 @@ def test_enumerate_system_without_a_box_searches_its_a_priori_ball(k2, monkeypat
     rep = enumerate_report(k2, s)
     assert rep.box[0].tolist() == [-radius] * 4 and rep.box[1].tolist() == [radius] * 4
     assert rep.roots == []
+
+
+def _c4_random_weights(rng):
+    mu, w = rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4)
+    return build_graph([(f"x{i + 1}", float(mu[i])) for i in range(4)],
+                       [(f"x{i + 1}", f"x{(i + 1) % 4 + 1}", float(w[i])) for i in range(4)])
+
+
+def _newton_calls(monkeypatch):
+    """A spy on ``solve._newton_batch``: the list of the seed counts it was called with."""
+    calls, run = [], solve_mod._newton_batch
+
+    def spy(problem, seeds, opts):
+        calls.append(len(seeds))
+        return run(problem, seeds, opts)
+
+    monkeypatch.setattr(solve_mod, "_newton_batch", spy)
+    return calls
+
+
+def _sigma_zero_cases():
+    """Systems at sigma = 0 with positive source means, and the box to search."""
+    rng = np.random.default_rng(7)
+    ones = np.ones(3)
+    c4 = _c4_random_weights(rng)
+    # the float column sums of -L are not 0 here: the integral test must carry them
+    assert np.any(c4.mu @ c4.neg_laplacian_matrix() != 0.0)
+    return [
+        (complete_graph(2), SystemModel(p=0.5, q=0.5, f=np.ones(2), g=np.ones(2), sigma=0.0), None),
+        (path_graph(3, mu=(1.0, 2.0, 1.0)), SystemModel(p=0.5, q=0.5, f=ones, g=ones, sigma=0.0),
+         None),
+        # its a priori ball (radius 2.8e132) is far too wide for the column sums,
+        # so it is searched over a box
+        (c4, SystemModel(p=1.5, q=0.5, f=rng.uniform(0.5, 2.0, 4), g=rng.uniform(-1.0, 2.0, 4),
+                         sigma=0.0), (-40.0, 40.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_sigma_zero_system_is_proved_rootless_in_one_box(monkeypatch, case):
+    # at sigma = 0 both nonlinearities are positive, so sum_x mu(x) R1(x) >
+    # int f dmu + sum_y c_y u_y, which is >= 0 over the whole box: no seed,
+    # no Newton, and seed_cap does not apply
+    g, s, box = _sigma_zero_cases()[case]
+    calls = _newton_calls(monkeypatch)
+    rep = enumerate_report(g, s, box=box, opts=SolveOptions(seed_cap=1), check_box=False)
+    assert calls == []
+    assert (rep.roots, rep.certified, rep.boxes, rep.unresolved) == ([], True, 1, 0)
+    assert (rep.seeds_used, rep.grid_levels, rep.stable) == (0, [], True)
+    if box is None:
+        radius = apriori_bound_system(g, s).bound
+        assert rep.box[1].tolist() == [radius] * (2 * g.ell)
+
+
+def test_sigma_zero_proof_leaves_the_other_systems_to_the_grid(k2, monkeypatch):
+    # none of these is proved rootless, though none has a root: each is searched
+    monkeypatch.setattr(solve_mod, "_REFINEMENTS", 0)
+    ones = np.ones(2)
+    cases = [
+        (SystemModel(p=0.5, q=0.5, f=ones, g=ones, sigma=5e-324), (-3.0, 3.0)),  # sigma > 0
+        (SystemModel(p=0.5, q=0.5, f=-ones, g=-2.0 * ones, sigma=0.0), (-3.0, 3.0)),
+        (SystemModel(p=0.5, q=0.5, f=ones, g=ones, sigma=0.0), (-np.inf, 3.0)),
+        # int f dmu is exactly 0 in floats, and proves nothing
+        (SystemModel(p=0.5, q=0.5, f=[1.0, -1.0], g=[1.0, -1.0], sigma=0.0), (-3.0, 3.0)),
+    ]
+    for s, box in cases:
+        rep = enumerate_report(k2, s, box=box, check_box=False)
+        assert rep.grid_levels == [7] and rep.seeds_used > 0, s
+        assert not rep.certified and rep.boxes == 0 and rep.roots == [], s
+
+
+def test_sigma_zero_proof_carries_the_column_sums(monkeypatch):
+    # the random C4's float column sums of -L, times its a priori radius
+    # 2.8e132, outweigh int f dmu: the slice is searched, not proved
+    g, s, _ = _sigma_zero_cases()[2]
+
+    class Searched(Exception):
+        pass
+
+    def newton(problem, seeds, opts):
+        raise Searched
+
+    monkeypatch.setattr(solve_mod, "_newton_batch", newton)
+    with pytest.raises(Searched):
+        enumerate_report(g, s)
+    # a source mean of 1e-9 proves nothing over (-1e8, 1e8) either
+    tiny = dataclasses.replace(s, f=np.full(4, 1e-9 / g.volume), g=np.full(4, 1e-9 / g.volume))
+    with pytest.raises(Searched):
+        enumerate_report(g, tiny, box=(-1e8, 1e8), check_box=False)
+    assert enumerate_report(g, tiny, box=(-1.0, 1.0), check_box=False).certified
 
 
 def test_enumerate_seed_cap(k2):
